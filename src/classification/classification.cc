@@ -248,9 +248,10 @@ Result<Oid> ClassificationManager::Clone(Oid source,
     if (l == nullptr) continue;
     std::vector<AttrInit> inits;
     inits.reserve(l->attrs.size());
-    for (const auto& [name, value] : l->attrs) {
+    ForEachAttribute(*l, [&inits](const std::string& name,
+                                  const Value& value) {
       inits.emplace_back(name, value);
-    }
+    });
     PROMETHEUS_ASSIGN_OR_RETURN(
         Oid nl, db_->CreateLink(l->def->name(), l->source, l->target, copy,
                                 std::move(inits)));
@@ -277,9 +278,10 @@ Status ClassificationManager::CloneSubtree(Oid source, Oid node,
     }
     std::vector<AttrInit> inits;
     inits.reserve(l->attrs.size());
-    for (const auto& [name, value] : l->attrs) {
+    ForEachAttribute(*l, [&inits](const std::string& name,
+                                  const Value& value) {
       inits.emplace_back(name, value);
-    }
+    });
     PROMETHEUS_RETURN_IF_ERROR(
         db_->CreateLink(l->def->name(), l->source, l->target, target,
                         std::move(inits))

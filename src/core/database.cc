@@ -4,6 +4,7 @@
 #include <deque>
 #include <unordered_set>
 
+#include "core/read_algorithms.h"
 #include "obs/metrics.h"
 
 namespace prometheus {
@@ -50,6 +51,55 @@ Status CheckValueType(const AttributeDef& def, const Value& value) {
                            ValueTypeName(value.type()));
 }
 
+/// A fresh instance's slot vector: every slot at its declared default.
+std::vector<Value> DefaultSlots(const std::vector<const AttributeDef*>& slots) {
+  std::vector<Value> out;
+  out.reserve(slots.size());
+  for (const AttributeDef* a : slots) out.push_back(a->default_value);
+  return out;
+}
+
+/// Stores named attribute values into `attrs` (already at defaults),
+/// refusing names `def` does not declare and values of the wrong type.
+template <typename Def>
+Status AssignSlots(const Def& def, const char* kind,
+                   std::vector<AttrInit> inits, std::vector<Value>* attrs) {
+  for (AttrInit& init : inits) {
+    const std::size_t slot = def.SlotOf(init.first);
+    if (slot == kNoSlot) {
+      return Status::NotFound(std::string(kind) + " '" + def.name() +
+                              "' has no attribute '" + init.first + "'");
+    }
+    PROMETHEUS_RETURN_IF_ERROR(CheckValueType(*def.slots()[slot], init.second));
+    (*attrs)[slot] = std::move(init.second);
+  }
+  return Status::Ok();
+}
+
+/// Computes a definition's slot layout from its supers' layouts and its own
+/// attributes: every name keeps the first slot it was given, and a later
+/// declaration of the same name replaces the attribute in that slot.
+template <typename Def>
+std::vector<const AttributeDef*> LayoutSlots(
+    const std::vector<const Def*>& supers,
+    const std::vector<AttributeDef>& own) {
+  std::vector<const AttributeDef*> out;
+  auto place = [&out](const AttributeDef* a) {
+    for (const AttributeDef*& slot : out) {
+      if (slot->name == a->name) {
+        slot = a;
+        return;
+      }
+    }
+    out.push_back(a);
+  };
+  for (const Def* s : supers) {
+    for (const AttributeDef* a : s->slots()) place(a);
+  }
+  for (const AttributeDef& a : own) place(&a);
+  return out;
+}
+
 }  // namespace
 
 /// One entry of the transaction undo log. Entries are applied in reverse
@@ -67,7 +117,7 @@ struct Database::UndoRecord {
 
   Kind kind;
   Oid oid = kNullOid;
-  std::string name;
+  std::size_t slot = 0;  ///< attribute slot (kSet*Attribute)
   Value old_value;
   std::unique_ptr<Object> object_snapshot;
   std::unique_ptr<Link> link_snapshot;
@@ -117,6 +167,7 @@ Result<const ClassDef*> Database::DefineClass(
     PROMETHEUS_RETURN_IF_ERROR(CheckValueType(a, a.default_value));
     cls->attributes_.push_back(std::move(a));
   }
+  cls->slots_ = LayoutSlots(cls->supers_, cls->attributes_);
   ClassDef* raw = cls.get();
   for (const ClassDef* s : super_defs) {
     const_cast<ClassDef*>(s)->subclasses_.push_back(raw);
@@ -203,6 +254,7 @@ Result<const RelationshipDef*> Database::DefineRelationship(
     PROMETHEUS_RETURN_IF_ERROR(CheckValueType(a, a.default_value));
     rel->attributes_.push_back(std::move(a));
   }
+  rel->slots_ = LayoutSlots(rel->supers_, rel->attributes_);
   RelationshipDef* raw = rel.get();
   for (const RelationshipDef* s : super_defs) {
     const_cast<RelationshipDef*>(s)->subs_.push_back(raw);
@@ -285,13 +337,13 @@ const std::vector<AttributeDef>* Database::FindTemplateAttributes(
 }
 
 const ClassDef* Database::FindClass(std::string_view name) const {
-  auto it = classes_by_name_.find(std::string(name));
+  auto it = classes_by_name_.find(name);
   return it == classes_by_name_.end() ? nullptr : it->second;
 }
 
 const RelationshipDef* Database::FindRelationship(
     std::string_view name) const {
-  auto it = rels_by_name_.find(std::string(name));
+  auto it = rels_by_name_.find(name);
   return it == rels_by_name_.end() ? nullptr : it->second;
 }
 
@@ -312,19 +364,17 @@ std::vector<const RelationshipDef*> Database::relationships() const {
 // --------------------------------------------------------------- internals
 
 Object* Database::MutableObject(Oid oid) {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) return nullptr;
+  Object* obj = objects_.Find(oid);
   // Conservative dirty mark: callers hold this pointer to mutate (or to
   // probe — the occasional spurious version copy at publish is harmless).
-  MarkObjectDirty(oid);
-  return it->second.get();
+  if (obj != nullptr) MarkObjectDirty(oid);
+  return obj;
 }
 
 Link* Database::MutableLink(Oid oid) {
-  auto it = links_.find(oid);
-  if (it == links_.end()) return nullptr;
-  MarkLinkDirty(oid);
-  return it->second.get();
+  Link* link = links_.Find(oid);
+  if (link != nullptr) MarkLinkDirty(oid);
+  return link;
 }
 
 Status Database::PublishEvent(const Event& event) {
@@ -434,24 +484,12 @@ Result<Oid> Database::CreateObject(const std::string& class_name,
   auto obj = std::make_unique<Object>();
   obj->oid = oid;
   obj->cls = cls;
-  std::vector<const AttributeDef*> all_attrs;
-  cls->CollectAttributes(&all_attrs);
-  for (const AttributeDef* a : all_attrs) {
-    obj->attrs[a->name] = a->default_value;
-  }
-  for (AttrInit& init : inits) {
-    const AttributeDef* a = cls->FindAttribute(init.first);
-    if (a == nullptr) {
-      return Status::NotFound("class '" + class_name + "' has no attribute '" +
-                              init.first + "'");
-    }
-    PROMETHEUS_RETURN_IF_ERROR(CheckValueType(*a, init.second));
-    obj->attrs[init.first] = std::move(init.second);
-  }
+  obj->attrs = DefaultSlots(cls->slots());
+  PROMETHEUS_RETURN_IF_ERROR(
+      AssignSlots(*cls, "class", std::move(inits), &obj->attrs));
   Object* raw = obj.get();
-  objects_[oid] = std::move(obj);
+  objects_.Put(oid, std::move(obj));
   RestoreToExtent(raw);
-  ++live_objects_;
 
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kCreateObject;
@@ -528,13 +566,10 @@ Status Database::DeleteObjectInternal(Oid oid, std::vector<Oid>* cascade) {
   after.type_name = obj->cls->name();
 
   RemoveFromExtent(obj);
-  --live_objects_;
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kDeleteObject;
   undo.oid = oid;
-  auto it = objects_.find(oid);
-  undo.object_snapshot = std::move(it->second);
-  objects_.erase(it);
+  undo.object_snapshot = objects_.Take(oid);
   RecordUndo(std::move(undo));
 
   return PublishEvent(after);
@@ -546,11 +581,12 @@ Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
   if (obj == nullptr) {
     return Status::NotFound("no object @" + std::to_string(oid));
   }
-  const AttributeDef* attr = obj->cls->FindAttribute(name);
-  if (attr == nullptr) {
+  const std::size_t slot = obj->cls->SlotOf(name);
+  if (slot == kNoSlot) {
     return Status::NotFound("class '" + obj->cls->name() +
                             "' has no attribute '" + name + "'");
   }
+  const AttributeDef* attr = obj->cls->slots()[slot];
   PROMETHEUS_RETURN_IF_ERROR(CheckValueType(*attr, value));
   if (semantics_enabled_ && !attr->ref_class.empty() &&
       value.type() == ValueType::kRef) {
@@ -559,7 +595,7 @@ Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
                                attr->ref_class);
     }
   }
-  Value old = obj->attrs[name];
+  Value old = obj->attrs[slot];
 
   Event before{EventKind::kBeforeSetAttribute};
   before.subject = oid;
@@ -569,11 +605,11 @@ Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
   before.new_value = value;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
-  obj->attrs[name] = std::move(value);
+  obj->attrs[slot] = std::move(value);
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kSetAttribute;
   undo.oid = oid;
-  undo.name = name;
+  undo.slot = slot;
   undo.old_value = std::move(old);
   RecordUndo(std::move(undo));
 
@@ -594,33 +630,7 @@ Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
 }
 
 Result<Value> Database::GetAttribute(Oid oid, const std::string& name) const {
-  AssertSharedAccess();
-  const Object* obj = GetObject(oid);
-  if (obj == nullptr) {
-    return Status::NotFound("no object @" + std::to_string(oid));
-  }
-  auto it = obj->attrs.find(name);
-  if (it != obj->attrs.end()) return it->second;
-  // Attribute inheritance over incoming links (thesis 4.4.5).
-  for (Oid lid : obj->in_links) {
-    const Link* link = GetLink(lid);
-    if (link == nullptr || !link->def->semantics().inherit_attributes) {
-      continue;
-    }
-    if (link->def->FindAttribute(name) != nullptr) {
-      auto ait = link->attrs.find(name);
-      if (ait != link->attrs.end()) return ait->second;
-      return Value::Null();
-    }
-  }
-  return Status::NotFound("object @" + std::to_string(oid) +
-                          " has no attribute '" + name + "'");
-}
-
-const Object* Database::GetObject(Oid oid) const {
-  AssertSharedAccess();
-  auto it = objects_.find(oid);
-  return it == objects_.end() ? nullptr : it->second.get();
+  return internal::GetAttributeOf(*this, oid, name);
 }
 
 bool Database::IsInstanceOf(Oid oid, std::string_view class_name) const {
@@ -762,26 +772,14 @@ Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
   link->source = source;
   link->target = target;
   link->context = context;
-  std::vector<const AttributeDef*> all_attrs;
-  def->CollectAttributes(&all_attrs);
-  for (const AttributeDef* a : all_attrs) {
-    link->attrs[a->name] = a->default_value;
-  }
-  for (AttrInit& init : inits) {
-    const AttributeDef* a = def->FindAttribute(init.first);
-    if (a == nullptr) {
-      return Status::NotFound("relationship '" + rel_name +
-                              "' has no attribute '" + init.first + "'");
-    }
-    PROMETHEUS_RETURN_IF_ERROR(CheckValueType(*a, init.second));
-    link->attrs[init.first] = std::move(init.second);
-  }
+  link->attrs = DefaultSlots(def->slots());
+  PROMETHEUS_RETURN_IF_ERROR(
+      AssignSlots(*def, "relationship", std::move(inits), &link->attrs));
   Link* raw = link.get();
-  links_[oid] = std::move(link);
+  links_.Put(oid, std::move(link));
   AttachLinkToEndpoints(*raw);
   RestoreLinkToExtent(raw);
   AddToContextIndex(raw);
-  ++live_links_;
 
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kCreateLink;
@@ -843,7 +841,6 @@ Status Database::DeleteLinkInternal(Oid oid, bool ignore_constancy) {
   DetachLinkFromEndpoints(*link);
   RemoveLinkFromExtent(link);
   RemoveFromContextIndex(link);
-  --live_links_;
 
   Event after = before;
   after.kind = EventKind::kAfterDeleteLink;
@@ -851,9 +848,7 @@ Status Database::DeleteLinkInternal(Oid oid, bool ignore_constancy) {
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kDeleteLink;
   undo.oid = oid;
-  auto it = links_.find(oid);
-  undo.link_snapshot = std::move(it->second);
-  links_.erase(it);
+  undo.link_snapshot = links_.Take(oid);
   RecordUndo(std::move(undo));
 
   return PublishEvent(after);
@@ -872,13 +867,13 @@ Status Database::SetLinkAttribute(Oid oid, const std::string& name,
                                        link->def->name() +
                                        "' cannot be modified");
   }
-  const AttributeDef* attr = link->def->FindAttribute(name);
-  if (attr == nullptr) {
+  const std::size_t slot = link->def->SlotOf(name);
+  if (slot == kNoSlot) {
     return Status::NotFound("relationship '" + link->def->name() +
                             "' has no attribute '" + name + "'");
   }
-  PROMETHEUS_RETURN_IF_ERROR(CheckValueType(*attr, value));
-  Value old = link->attrs[name];
+  PROMETHEUS_RETURN_IF_ERROR(CheckValueType(*link->def->slots()[slot], value));
+  Value old = link->attrs[slot];
 
   Event before{EventKind::kBeforeSetLinkAttribute};
   before.subject = oid;
@@ -891,11 +886,11 @@ Status Database::SetLinkAttribute(Oid oid, const std::string& name,
   before.new_value = value;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
-  link->attrs[name] = std::move(value);
+  link->attrs[slot] = std::move(value);
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kSetLinkAttribute;
   undo.oid = oid;
-  undo.name = name;
+  undo.slot = slot;
   undo.old_value = std::move(old);
   RecordUndo(std::move(undo));
 
@@ -917,23 +912,7 @@ Status Database::SetLinkAttribute(Oid oid, const std::string& name,
 
 Result<Value> Database::GetLinkAttribute(Oid oid,
                                          const std::string& name) const {
-  AssertSharedAccess();
-  const Link* link = GetLink(oid);
-  if (link == nullptr) {
-    return Status::NotFound("no link @" + std::to_string(oid));
-  }
-  auto it = link->attrs.find(name);
-  if (it == link->attrs.end()) {
-    return Status::NotFound("relationship '" + link->def->name() +
-                            "' has no attribute '" + name + "'");
-  }
-  return it->second;
-}
-
-const Link* Database::GetLink(Oid oid) const {
-  AssertSharedAccess();
-  auto it = links_.find(oid);
-  return it == links_.end() ? nullptr : it->second.get();
+  return internal::GetLinkAttributeOf(*this, oid, name);
 }
 
 std::vector<Oid> Database::LinkExtent(const std::string& rel_name,
@@ -971,40 +950,12 @@ const std::vector<Oid>& Database::LinksInContext(Oid context) const {
 std::vector<Oid> Database::IncidentLinks(Oid oid, Direction dir,
                                          const RelationshipDef* def,
                                          Oid context) const {
-  AssertSharedAccess();
-  const Object* obj = GetObject(oid);
-  if (obj == nullptr) return {};
-  std::vector<Oid> out;
-  auto consider = [&](const std::vector<Oid>& side) {
-    for (Oid lid : side) {
-      const Link* link = GetLink(lid);
-      if (link == nullptr) continue;
-      if (def != nullptr && !link->def->IsSubrelationshipOf(def)) continue;
-      if (context != kNullOid && link->context != context) continue;
-      out.push_back(lid);
-    }
-  };
-  bool want_out = dir != Direction::kIn;
-  bool want_in = dir != Direction::kOut;
-  if (def != nullptr && !def->semantics().directed) {
-    want_out = want_in = true;
-  }
-  if (want_out) consider(obj->out_links);
-  if (want_in) consider(obj->in_links);
-  return out;
+  return internal::IncidentLinksOf(*this, oid, dir, def, context);
 }
 
 std::vector<Oid> Database::Neighbors(Oid oid, const std::string& rel_name,
                                      Direction dir, Oid context) const {
-  AssertSharedAccess();
-  const RelationshipDef* def = FindRelationship(rel_name);
-  if (def == nullptr) return {};
-  std::vector<Oid> out;
-  for (Oid lid : IncidentLinks(oid, dir, def, context)) {
-    const Link* link = GetLink(lid);
-    out.push_back(link->source == oid ? link->target : link->source);
-  }
-  return out;
+  return internal::NeighborsOf(*this, oid, rel_name, dir, context);
 }
 
 Result<std::vector<Oid>> Database::Traverse(Oid start,
@@ -1012,33 +963,8 @@ Result<std::vector<Oid>> Database::Traverse(Oid start,
                                             std::uint32_t min_depth,
                                             std::uint32_t max_depth,
                                             Direction dir, Oid context) const {
-  AssertSharedAccess();
-  const RelationshipDef* def = FindRelationship(rel_name);
-  if (def == nullptr) {
-    return Status::NotFound("unknown relationship '" + rel_name + "'");
-  }
-  if (GetObject(start) == nullptr) {
-    return Status::NotFound("no object @" + std::to_string(start));
-  }
-  if (max_depth != 0 && min_depth > max_depth) {
-    return Status::InvalidArgument("min_depth exceeds max_depth");
-  }
-  std::vector<Oid> result;
-  std::unordered_set<Oid> visited{start};
-  std::deque<std::pair<Oid, std::uint32_t>> frontier{{start, 0}};
-  if (min_depth == 0) result.push_back(start);
-  while (!frontier.empty()) {
-    auto [oid, depth] = frontier.front();
-    frontier.pop_front();
-    if (max_depth != 0 && depth == max_depth) continue;
-    for (Oid next : Neighbors(oid, rel_name, dir, context)) {
-      if (!visited.insert(next).second) continue;
-      std::uint32_t d = depth + 1;
-      if (d >= min_depth) result.push_back(next);
-      frontier.emplace_back(next, d);
-    }
-  }
-  return result;
+  return internal::TraverseOf(*this, start, rel_name, min_depth, max_depth,
+                              dir, context);
 }
 
 // ---------------------------------------------------------------- synonyms
@@ -1105,10 +1031,7 @@ Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
     return Status::FailedPrecondition(
         "raw restore is not valid inside a transaction");
   }
-  if (oid == kNullOid || objects_.count(oid) || links_.count(oid)) {
-    return Status::InvalidArgument("oid @" + std::to_string(oid) +
-                                   " is unavailable");
-  }
+  PROMETHEUS_RETURN_IF_ERROR(CheckRestorableOid(oid));
   const ClassDef* cls = FindClass(class_name);
   if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
@@ -1116,11 +1039,12 @@ Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
   auto obj = std::make_unique<Object>();
   obj->oid = oid;
   obj->cls = cls;
-  for (AttrInit& a : attrs) obj->attrs[a.first] = std::move(a.second);
+  obj->attrs = DefaultSlots(cls->slots());
+  PROMETHEUS_RETURN_IF_ERROR(
+      AssignSlots(*cls, "class", std::move(attrs), &obj->attrs));
   Object* raw = obj.get();
-  objects_[oid] = std::move(obj);
+  objects_.Put(oid, std::move(obj));
   RestoreToExtent(raw);
-  ++live_objects_;
   EnsureNextOidAbove(oid);
   return Status::Ok();
 }
@@ -1133,10 +1057,7 @@ Status Database::RestoreLinkRaw(Oid oid, const std::string& rel_name,
     return Status::FailedPrecondition(
         "raw restore is not valid inside a transaction");
   }
-  if (oid == kNullOid || objects_.count(oid) || links_.count(oid)) {
-    return Status::InvalidArgument("oid @" + std::to_string(oid) +
-                                   " is unavailable");
-  }
+  PROMETHEUS_RETURN_IF_ERROR(CheckRestorableOid(oid));
   const RelationshipDef* def = FindRelationship(rel_name);
   if (def == nullptr) {
     return Status::NotFound("unknown relationship '" + rel_name + "'");
@@ -1150,14 +1071,24 @@ Status Database::RestoreLinkRaw(Oid oid, const std::string& rel_name,
   link->source = source;
   link->target = target;
   link->context = context;
-  for (AttrInit& a : attrs) link->attrs[a.first] = std::move(a.second);
+  link->attrs = DefaultSlots(def->slots());
+  PROMETHEUS_RETURN_IF_ERROR(
+      AssignSlots(*def, "relationship", std::move(attrs), &link->attrs));
   Link* raw = link.get();
-  links_[oid] = std::move(link);
+  links_.Put(oid, std::move(link));
   AttachLinkToEndpoints(*raw);
   RestoreLinkToExtent(raw);
   AddToContextIndex(raw);
-  ++live_links_;
   EnsureNextOidAbove(oid);
+  return Status::Ok();
+}
+
+Status Database::CheckRestorableOid(Oid oid) const {
+  if (oid == kNullOid || oid >= OidTable<Object>::kOidLimit ||
+      objects_.Find(oid) != nullptr || links_.Find(oid) != nullptr) {
+    return Status::InvalidArgument("oid @" + std::to_string(oid) +
+                                   " is unavailable");
+  }
   return Status::Ok();
 }
 
@@ -1183,16 +1114,14 @@ Status Database::Clear() {
   context_index_.clear();
   link_extents_.clear();
   extents_.clear();
-  links_.clear();
-  objects_.clear();
+  links_.Clear();
+  objects_.Clear();
   rel_template_order_.clear();
   rel_templates_.clear();
   rels_by_name_.clear();
   rel_storage_.clear();
   classes_by_name_.clear();
   class_storage_.clear();
-  live_objects_ = 0;
-  live_links_ = 0;
   next_oid_ = 1;
   // Everything changed at once (and the dirty sets may hold pointers into
   // the schema storage just dropped): force a from-scratch rebuild at the
@@ -1270,21 +1199,19 @@ void Database::UndoAll() {
         comp.subject = rec.oid;
         comp.type_name = obj->cls->name();
         RemoveFromExtent(obj);
-        --live_objects_;
-        objects_.erase(rec.oid);
+        objects_.Take(rec.oid);
         PublishEvent(comp);
         break;
       }
       case UndoRecord::Kind::kDeleteObject: {
         Object* raw = rec.object_snapshot.get();
-        objects_[rec.oid] = std::move(rec.object_snapshot);
+        objects_.Put(rec.oid, std::move(rec.object_snapshot));
         // Incident-link vectors are rebuilt by the link undo records that
         // precede this record in the log (and hence follow it in undo
         // order), so clear them here.
         raw->out_links.clear();
         raw->in_links.clear();
         RestoreToExtent(raw);
-        ++live_objects_;
         comp.kind = EventKind::kAfterCreateObject;
         comp.subject = rec.oid;
         comp.type_name = raw->cls->name();
@@ -1297,10 +1224,10 @@ void Database::UndoAll() {
         comp.kind = EventKind::kAfterSetAttribute;
         comp.subject = rec.oid;
         comp.type_name = obj->cls->name();
-        comp.attribute = rec.name;
-        comp.old_value = obj->attrs[rec.name];
+        comp.attribute = obj->cls->slots()[rec.slot]->name;
+        comp.old_value = obj->attrs[rec.slot];
         comp.new_value = rec.old_value;
-        obj->attrs[rec.name] = std::move(rec.old_value);
+        obj->attrs[rec.slot] = std::move(rec.old_value);
         PublishEvent(comp);
         break;
       }
@@ -1316,18 +1243,16 @@ void Database::UndoAll() {
         DetachLinkFromEndpoints(*link);
         RemoveLinkFromExtent(link);
         RemoveFromContextIndex(link);
-        --live_links_;
-        links_.erase(rec.oid);
+        links_.Take(rec.oid);
         PublishEvent(comp);
         break;
       }
       case UndoRecord::Kind::kDeleteLink: {
         Link* raw = rec.link_snapshot.get();
-        links_[rec.oid] = std::move(rec.link_snapshot);
+        links_.Put(rec.oid, std::move(rec.link_snapshot));
         AttachLinkToEndpoints(*raw);
         RestoreLinkToExtent(raw);
         AddToContextIndex(raw);
-        ++live_links_;
         comp.kind = EventKind::kAfterCreateLink;
         comp.subject = rec.oid;
         comp.type_name = raw->def->name();
@@ -1346,10 +1271,10 @@ void Database::UndoAll() {
         comp.source = link->source;
         comp.target = link->target;
         comp.context = link->context;
-        comp.attribute = rec.name;
-        comp.old_value = link->attrs[rec.name];
+        comp.attribute = link->def->slots()[rec.slot]->name;
+        comp.old_value = link->attrs[rec.slot];
         comp.new_value = rec.old_value;
-        link->attrs[rec.name] = std::move(rec.old_value);
+        link->attrs[rec.slot] = std::move(rec.old_value);
         PublishEvent(comp);
         break;
       }
@@ -1392,12 +1317,12 @@ std::shared_ptr<DbSnapshot> Database::BuildFullSnapshot(
   std::shared_ptr<DbSnapshot> snap(new DbSnapshot());
   snap->epoch_ = epoch;
   snap->schema_ = BuildSchemaTables();
-  for (const auto& [oid, obj] : objects_) {
-    snap->objects_.Set(oid, mvcc::MakeVersion(*obj));
-  }
-  for (const auto& [oid, link] : links_) {
-    snap->links_.Set(oid, mvcc::MakeVersion(*link));
-  }
+  objects_.ForEach([&snap](Oid oid, const Object& obj) {
+    snap->objects_.Set(oid, mvcc::MakeVersion(obj));
+  });
+  links_.ForEach([&snap](Oid oid, const Link& link) {
+    snap->links_.Set(oid, mvcc::MakeVersion(link));
+  });
   for (const auto& [cls, extent] : extents_) {
     if (!extent.empty()) {
       snap->extents_[cls] = std::make_shared<const std::vector<Oid>>(extent);
@@ -1417,8 +1342,8 @@ std::shared_ptr<DbSnapshot> Database::BuildFullSnapshot(
   }
   snap->synonym_parent_ =
       std::make_shared<const std::unordered_map<Oid, Oid>>(synonym_parent_);
-  snap->live_objects_ = live_objects_;
-  snap->live_links_ = live_links_;
+  snap->live_objects_ = objects_.size();
+  snap->live_links_ = links_.size();
   return snap;
 }
 
@@ -1433,19 +1358,17 @@ std::shared_ptr<DbSnapshot> Database::BuildNextSnapshot(
   snap->epoch_ = epoch;
   if (dirty_.schema) snap->schema_ = BuildSchemaTables();
   for (Oid oid : dirty_.objects) {
-    auto it = objects_.find(oid);
-    if (it == objects_.end()) {
-      snap->objects_.Erase(oid);
+    if (const Object* obj = objects_.Find(oid)) {
+      snap->objects_.Set(oid, mvcc::MakeVersion(*obj));
     } else {
-      snap->objects_.Set(oid, mvcc::MakeVersion(*it->second));
+      snap->objects_.Erase(oid);
     }
   }
   for (Oid oid : dirty_.links) {
-    auto it = links_.find(oid);
-    if (it == links_.end()) {
-      snap->links_.Erase(oid);
+    if (const Link* link = links_.Find(oid)) {
+      snap->links_.Set(oid, mvcc::MakeVersion(*link));
     } else {
-      snap->links_.Set(oid, mvcc::MakeVersion(*it->second));
+      snap->links_.Erase(oid);
     }
   }
   for (const ClassDef* cls : dirty_.extents) {
@@ -1479,8 +1402,8 @@ std::shared_ptr<DbSnapshot> Database::BuildNextSnapshot(
     snap->synonym_parent_ =
         std::make_shared<const std::unordered_map<Oid, Oid>>(synonym_parent_);
   }
-  snap->live_objects_ = live_objects_;
-  snap->live_links_ = live_links_;
+  snap->live_objects_ = objects_.size();
+  snap->live_links_ = links_.size();
   return snap;
 }
 

@@ -22,6 +22,7 @@
 #include "common/result.h"
 #include "common/value.h"
 #include "core/instance.h"
+#include "core/oid_table.h"
 #include "core/read_view.h"
 #include "core/schema.h"
 #include "core/snapshot.h"
@@ -356,7 +357,10 @@ class Database : public ReadView {
   Result<Value> GetAttribute(Oid oid, const std::string& name) const override;
 
   /// Non-owning instance lookup; nullptr when the oid is dead or unknown.
-  const Object* GetObject(Oid oid) const override;
+  const Object* GetObject(Oid oid) const final {
+    AssertSharedAccess();
+    return objects_.Find(oid);
+  }
 
   /// True when `oid` designates a live object of `class_name` (or one of
   /// its subclasses).
@@ -368,7 +372,7 @@ class Database : public ReadView {
                           bool include_subclasses = true) const override;
 
   /// Number of live objects.
-  std::size_t object_count() const override { return live_objects_; }
+  std::size_t object_count() const override { return objects_.size(); }
 
   // ----------------------------------------------------------------- links
 
@@ -390,7 +394,10 @@ class Database : public ReadView {
                                  const std::string& name) const override;
 
   /// Non-owning link lookup; nullptr when dead or unknown.
-  const Link* GetLink(Oid oid) const override;
+  const Link* GetLink(Oid oid) const final {
+    AssertSharedAccess();
+    return links_.Find(oid);
+  }
 
   /// All live links of a relationship class (its extent); with
   /// `include_subrelationships`, links of sub-relationship classes too.
@@ -404,7 +411,7 @@ class Database : public ReadView {
   const std::vector<Oid>& LinksInContext(Oid context) const override;
 
   /// Number of live links.
-  std::size_t link_count() const override { return live_links_; }
+  std::size_t link_count() const override { return links_.size(); }
 
   // ------------------------------------------------------------- traversal
 
@@ -473,8 +480,12 @@ class Database : public ReadView {
 
   /// Raw restore of an object under a chosen oid — used by the storage
   /// layer when loading a snapshot. Bypasses events, rules and semantic
-  /// checks (a snapshot is already consistent). Fails when the oid is in
-  /// use or the class is unknown. Not valid inside a transaction.
+  /// checks (a snapshot is already consistent), but not the schema: an
+  /// undeclared attribute name or a mistyped value is refused, and absent
+  /// declared attributes get their defaults, so a restored object equals a
+  /// created one. Fails when the oid is in use or not below
+  /// `OidTable::kOidLimit`, or the class is unknown. Not valid inside a
+  /// transaction.
   Status RestoreObjectRaw(Oid oid, const std::string& class_name,
                           std::vector<AttrInit> attrs);
 
@@ -613,6 +624,8 @@ class Database : public ReadView {
   void ReleasePin(std::uint64_t epoch);
   void UpdateMvccGauges() const;
 
+  /// Raw restore's oid check: non-null, below the table limit, unused.
+  Status CheckRestorableOid(Oid oid) const;
   Status CheckLinkSemantics(const RelationshipDef* def, const Object& source,
                             const Object& target) const;
   Status DeleteLinkInternal(Oid oid, bool ignore_constancy);
@@ -663,9 +676,9 @@ class Database : public ReadView {
   // can keep them (and the `cls`/`def` pointers inside retained object
   // versions) alive across Clear().
   std::vector<std::shared_ptr<ClassDef>> class_storage_;
-  std::unordered_map<std::string, ClassDef*> classes_by_name_;
+  NameMap<ClassDef*> classes_by_name_;
   std::vector<std::shared_ptr<RelationshipDef>> rel_storage_;
-  std::unordered_map<std::string, RelationshipDef*> rels_by_name_;
+  NameMap<RelationshipDef*> rels_by_name_;
   struct RelationshipTemplate {
     RelationshipSemantics semantics;
     std::vector<AttributeDef> attributes;
@@ -673,14 +686,12 @@ class Database : public ReadView {
   std::unordered_map<std::string, RelationshipTemplate> rel_templates_;
   std::vector<std::string> rel_template_order_;
 
-  // Instances.
-  std::unordered_map<Oid, std::unique_ptr<Object>> objects_;
-  std::unordered_map<Oid, std::unique_ptr<Link>> links_;
+  // Instances, in dense oid-indexed tables (hash-free record access).
+  OidTable<Object> objects_;
+  OidTable<Link> links_;
   std::unordered_map<const ClassDef*, std::vector<Oid>> extents_;
   std::unordered_map<const RelationshipDef*, std::vector<Oid>> link_extents_;
   std::unordered_map<Oid, std::vector<Oid>> context_index_;
-  std::size_t live_objects_ = 0;
-  std::size_t live_links_ = 0;
   Oid next_oid_ = 1;
 
   // Synonyms: parent pointers of a union-find without path compression

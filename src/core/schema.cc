@@ -1,7 +1,5 @@
 #include "core/schema.h"
 
-#include <algorithm>
-
 namespace prometheus {
 
 bool ClassDef::IsSubclassOf(const ClassDef* other) const {
@@ -12,30 +10,20 @@ bool ClassDef::IsSubclassOf(const ClassDef* other) const {
   return false;
 }
 
-const AttributeDef* ClassDef::FindAttribute(std::string_view name) const {
-  for (const AttributeDef& a : attributes_) {
-    if (a.name == name) return &a;
+namespace {
+
+std::size_t FindSlot(const std::vector<const AttributeDef*>& slots,
+                     std::string_view name) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i]->name == name) return i;
   }
-  for (const ClassDef* s : supers_) {
-    if (const AttributeDef* a = s->FindAttribute(name)) return a;
-  }
-  return nullptr;
+  return kNoSlot;
 }
 
-void ClassDef::CollectAttributes(
-    std::vector<const AttributeDef*>* out) const {
-  for (const ClassDef* s : supers_) s->CollectAttributes(out);
-  for (const AttributeDef& a : attributes_) {
-    // A redeclared name overrides the inherited one.
-    auto dup = std::find_if(
-        out->begin(), out->end(),
-        [&a](const AttributeDef* x) { return x->name == a.name; });
-    if (dup != out->end()) {
-      *dup = &a;
-    } else {
-      out->push_back(&a);
-    }
-  }
+}  // namespace
+
+std::size_t ClassDef::SlotOf(std::string_view name) const {
+  return FindSlot(slots_, name);
 }
 
 const MethodDef* ClassDef::FindMethod(std::string_view name) const {
@@ -56,30 +44,8 @@ bool RelationshipDef::IsSubrelationshipOf(const RelationshipDef* other) const {
   return false;
 }
 
-const AttributeDef* RelationshipDef::FindAttribute(
-    std::string_view name) const {
-  for (const AttributeDef& a : attributes_) {
-    if (a.name == name) return &a;
-  }
-  for (const RelationshipDef* s : supers_) {
-    if (const AttributeDef* a = s->FindAttribute(name)) return a;
-  }
-  return nullptr;
-}
-
-void RelationshipDef::CollectAttributes(
-    std::vector<const AttributeDef*>* out) const {
-  for (const RelationshipDef* s : supers_) s->CollectAttributes(out);
-  for (const AttributeDef& a : attributes_) {
-    auto dup = std::find_if(
-        out->begin(), out->end(),
-        [&a](const AttributeDef* x) { return x->name == a.name; });
-    if (dup != out->end()) {
-      *dup = &a;
-    } else {
-      out->push_back(&a);
-    }
-  }
+std::size_t RelationshipDef::SlotOf(std::string_view name) const {
+  return FindSlot(slots_, name);
 }
 
 }  // namespace prometheus

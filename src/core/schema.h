@@ -2,15 +2,32 @@
 #define PROMETHEUS_CORE_SCHEMA_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "common/value.h"
 
 namespace prometheus {
+
+/// Transparent string hash, so name-keyed maps are probed with a
+/// `std::string_view` without building a `std::string` per lookup.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+template <typename V>
+using NameMap = std::unordered_map<std::string, V, NameHash, std::equal_to<>>;
+
+/// Position of an attribute in an instance's slot vector; `kNoSlot` when
+/// the class declares no attribute of that name.
+inline constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
 /// Declaration of an attribute of a class or of a relationship class
 /// (thesis section 4.2: attributes are (type, name) pairs).
@@ -77,11 +94,19 @@ class ClassDef {
   /// True when this class is `other` or transitively inherits from it.
   bool IsSubclassOf(const ClassDef* other) const;
 
-  /// Finds `name` on this class or any super-class; nullptr if absent.
-  const AttributeDef* FindAttribute(std::string_view name) const;
+  /// The flattened attribute layout, computed once at definition: slot `i`
+  /// of every instance's `Object::attrs` holds attribute `slots()[i]`.
+  /// Inherited attributes come first (super-class order), own ones last.
+  const std::vector<const AttributeDef*>& slots() const { return slots_; }
 
-  /// Appends all attributes, inherited first (super-class order), own last.
-  void CollectAttributes(std::vector<const AttributeDef*>* out) const;
+  /// Slot of attribute `name` (own or inherited), or `kNoSlot`.
+  std::size_t SlotOf(std::string_view name) const;
+
+  /// Finds `name` on this class or any super-class; nullptr if absent.
+  const AttributeDef* FindAttribute(std::string_view name) const {
+    const std::size_t slot = SlotOf(name);
+    return slot == kNoSlot ? nullptr : slots_[slot];
+  }
 
  private:
   friend class Database;
@@ -92,6 +117,7 @@ class ClassDef {
   std::vector<const ClassDef*> subclasses_;
   std::vector<AttributeDef> attributes_;
   std::vector<MethodDef> methods_;
+  std::vector<const AttributeDef*> slots_;
 };
 
 /// Kind of a relationship class (thesis 4.3): aggregations model whole–part
@@ -198,11 +224,19 @@ class RelationshipDef {
   /// True when this relationship class is `other` or inherits from it.
   bool IsSubrelationshipOf(const RelationshipDef* other) const;
 
-  /// Finds a link attribute on this class or a super; nullptr if absent.
-  const AttributeDef* FindAttribute(std::string_view name) const;
+  /// The flattened link-attribute layout (see `ClassDef::slots()`): slot
+  /// `i` of every link's `Link::attrs` holds `slots()[i]`. A redeclared
+  /// attribute takes over the inherited one's slot.
+  const std::vector<const AttributeDef*>& slots() const { return slots_; }
 
-  /// Appends all link attributes, inherited first.
-  void CollectAttributes(std::vector<const AttributeDef*>* out) const;
+  /// Slot of link attribute `name` (own or inherited), or `kNoSlot`.
+  std::size_t SlotOf(std::string_view name) const;
+
+  /// Finds a link attribute on this class or a super; nullptr if absent.
+  const AttributeDef* FindAttribute(std::string_view name) const {
+    const std::size_t slot = SlotOf(name);
+    return slot == kNoSlot ? nullptr : slots_[slot];
+  }
 
  private:
   friend class Database;
@@ -214,6 +248,7 @@ class RelationshipDef {
   std::vector<AttributeDef> attributes_;
   std::vector<const RelationshipDef*> supers_;
   std::vector<const RelationshipDef*> subs_;
+  std::vector<const AttributeDef*> slots_;
 };
 
 }  // namespace prometheus

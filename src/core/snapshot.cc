@@ -1,9 +1,9 @@
 #include "core/snapshot.h"
 
 #include <deque>
-#include <unordered_set>
 
 #include "core/database.h"
+#include "core/read_algorithms.h"
 
 namespace prometheus {
 
@@ -34,20 +34,21 @@ DbSnapshot::~DbSnapshot() {
   mvcc::internal::g_live_snapshots.fetch_sub(1, std::memory_order_relaxed);
 }
 
-// The read algorithms below mirror the `Database` implementations
-// line-for-line (see database.cc) with two systematic substitutions:
-// record lookups go to the version tries, and schema *children* walks go
-// to the snapshot's copied `subclasses`/`subrels` maps — the live vectors
-// those BFS walks would otherwise read are appended to by concurrent DDL.
+// Record-level reads (attributes, adjacency, traversal) share their
+// implementation with `Database` (core/read_algorithms.h); record lookups
+// go to the version tries. The extent walks below mirror the `Database`
+// ones except that schema *children* walks go to the snapshot's copied
+// `subclasses`/`subrels` maps — the live vectors those BFS walks would
+// otherwise read are appended to by concurrent DDL.
 
 const ClassDef* DbSnapshot::FindClass(std::string_view name) const {
-  auto it = schema_->classes_by_name.find(std::string(name));
+  auto it = schema_->classes_by_name.find(name);
   return it == schema_->classes_by_name.end() ? nullptr : it->second;
 }
 
 const RelationshipDef* DbSnapshot::FindRelationship(
     std::string_view name) const {
-  auto it = schema_->rels_by_name.find(std::string(name));
+  auto it = schema_->rels_by_name.find(name);
   return it == schema_->rels_by_name.end() ? nullptr : it->second;
 }
 
@@ -59,34 +60,9 @@ std::vector<const RelationshipDef*> DbSnapshot::relationships() const {
   return schema_->rels_in_order;
 }
 
-const Object* DbSnapshot::GetObject(Oid oid) const {
-  return objects_.Find(oid);
-}
-
-const Link* DbSnapshot::GetLink(Oid oid) const { return links_.Find(oid); }
-
 Result<Value> DbSnapshot::GetAttribute(Oid oid,
                                        const std::string& name) const {
-  const Object* obj = GetObject(oid);
-  if (obj == nullptr) {
-    return Status::NotFound("no object @" + std::to_string(oid));
-  }
-  auto it = obj->attrs.find(name);
-  if (it != obj->attrs.end()) return it->second;
-  // Attribute inheritance over incoming links (thesis 4.4.5).
-  for (Oid lid : obj->in_links) {
-    const Link* link = GetLink(lid);
-    if (link == nullptr || !link->def->semantics().inherit_attributes) {
-      continue;
-    }
-    if (link->def->FindAttribute(name) != nullptr) {
-      auto ait = link->attrs.find(name);
-      if (ait != link->attrs.end()) return ait->second;
-      return Value::Null();
-    }
-  }
-  return Status::NotFound("object @" + std::to_string(oid) +
-                          " has no attribute '" + name + "'");
+  return internal::GetAttributeOf(*this, oid, name);
 }
 
 bool DbSnapshot::IsInstanceOf(Oid oid, std::string_view class_name) const {
@@ -132,16 +108,7 @@ std::vector<Oid> DbSnapshot::Extent(const std::string& class_name,
 
 Result<Value> DbSnapshot::GetLinkAttribute(Oid oid,
                                            const std::string& name) const {
-  const Link* link = GetLink(oid);
-  if (link == nullptr) {
-    return Status::NotFound("no link @" + std::to_string(oid));
-  }
-  auto it = link->attrs.find(name);
-  if (it == link->attrs.end()) {
-    return Status::NotFound("relationship '" + link->def->name() +
-                            "' has no attribute '" + name + "'");
-  }
-  return it->second;
+  return internal::GetLinkAttributeOf(*this, oid, name);
 }
 
 std::vector<Oid> DbSnapshot::LinkExtent(const std::string& rel_name,
@@ -175,38 +142,12 @@ const std::vector<Oid>& DbSnapshot::LinksInContext(Oid context) const {
 std::vector<Oid> DbSnapshot::IncidentLinks(Oid oid, Direction dir,
                                            const RelationshipDef* def,
                                            Oid context) const {
-  const Object* obj = GetObject(oid);
-  if (obj == nullptr) return {};
-  std::vector<Oid> out;
-  auto consider = [&](const std::vector<Oid>& side) {
-    for (Oid lid : side) {
-      const Link* link = GetLink(lid);
-      if (link == nullptr) continue;
-      if (def != nullptr && !link->def->IsSubrelationshipOf(def)) continue;
-      if (context != kNullOid && link->context != context) continue;
-      out.push_back(lid);
-    }
-  };
-  bool want_out = dir != Direction::kIn;
-  bool want_in = dir != Direction::kOut;
-  if (def != nullptr && !def->semantics().directed) {
-    want_out = want_in = true;
-  }
-  if (want_out) consider(obj->out_links);
-  if (want_in) consider(obj->in_links);
-  return out;
+  return internal::IncidentLinksOf(*this, oid, dir, def, context);
 }
 
 std::vector<Oid> DbSnapshot::Neighbors(Oid oid, const std::string& rel_name,
                                        Direction dir, Oid context) const {
-  const RelationshipDef* def = FindRelationship(rel_name);
-  if (def == nullptr) return {};
-  std::vector<Oid> out;
-  for (Oid lid : IncidentLinks(oid, dir, def, context)) {
-    const Link* link = GetLink(lid);
-    out.push_back(link->source == oid ? link->target : link->source);
-  }
-  return out;
+  return internal::NeighborsOf(*this, oid, rel_name, dir, context);
 }
 
 Result<std::vector<Oid>> DbSnapshot::Traverse(Oid start,
@@ -215,32 +156,8 @@ Result<std::vector<Oid>> DbSnapshot::Traverse(Oid start,
                                               std::uint32_t max_depth,
                                               Direction dir,
                                               Oid context) const {
-  const RelationshipDef* def = FindRelationship(rel_name);
-  if (def == nullptr) {
-    return Status::NotFound("unknown relationship '" + rel_name + "'");
-  }
-  if (GetObject(start) == nullptr) {
-    return Status::NotFound("no object @" + std::to_string(start));
-  }
-  if (max_depth != 0 && min_depth > max_depth) {
-    return Status::InvalidArgument("min_depth exceeds max_depth");
-  }
-  std::vector<Oid> result;
-  std::unordered_set<Oid> visited{start};
-  std::deque<std::pair<Oid, std::uint32_t>> frontier{{start, 0}};
-  if (min_depth == 0) result.push_back(start);
-  while (!frontier.empty()) {
-    auto [oid, depth] = frontier.front();
-    frontier.pop_front();
-    if (max_depth != 0 && depth == max_depth) continue;
-    for (Oid next : Neighbors(oid, rel_name, dir, context)) {
-      if (!visited.insert(next).second) continue;
-      std::uint32_t d = depth + 1;
-      if (d >= min_depth) result.push_back(next);
-      frontier.emplace_back(next, d);
-    }
-  }
-  return result;
+  return internal::TraverseOf(*this, start, rel_name, min_depth, max_depth,
+                              dir, context);
 }
 
 Oid DbSnapshot::CanonicalOf(Oid oid) const {

@@ -69,8 +69,8 @@ std::shared_ptr<const T> MakeVersion(const T& src) {
 /// versions retained by old snapshots keep valid `cls`/`def` pointers even
 /// across `Database::Clear()` (follower rebootstrap).
 struct SchemaTables {
-  std::unordered_map<std::string, const ClassDef*> classes_by_name;
-  std::unordered_map<std::string, const RelationshipDef*> rels_by_name;
+  NameMap<const ClassDef*> classes_by_name;
+  NameMap<const RelationshipDef*> rels_by_name;
   std::vector<const ClassDef*> classes_in_order;
   std::vector<const RelationshipDef*> rels_in_order;
   std::unordered_map<const ClassDef*, std::vector<const ClassDef*>>
@@ -106,7 +106,9 @@ class DbSnapshot final : public ReadView {
   std::vector<const RelationshipDef*> relationships() const override;
 
   Result<Value> GetAttribute(Oid oid, const std::string& name) const override;
-  const Object* GetObject(Oid oid) const override;
+  const Object* GetObject(Oid oid) const override {
+    return objects_.Find(oid);
+  }
   bool IsInstanceOf(Oid oid, std::string_view class_name) const override;
   std::vector<Oid> Extent(const std::string& class_name,
                           bool include_subclasses = true) const override;
@@ -114,7 +116,7 @@ class DbSnapshot final : public ReadView {
 
   Result<Value> GetLinkAttribute(Oid oid,
                                  const std::string& name) const override;
-  const Link* GetLink(Oid oid) const override;
+  const Link* GetLink(Oid oid) const override { return links_.Find(oid); }
   std::vector<Oid> LinkExtent(const std::string& rel_name,
                               bool include_subrelationships = true)
       const override;

@@ -283,12 +283,15 @@ Status PrometheusOo7::InsertS1(int k) {
 
 Status PrometheusOo7::DeleteS2(int k) {
   for (int i = 0; i < k && !composites_.empty(); ++i) {
+    // `composites_` stays in creation order (an erase, not a swap-remove),
+    // so the draw picks the same victim as BaselineOo7::DeleteS2 does from
+    // its live list.
     std::uniform_int_distribution<std::size_t> pick(0,
                                                     composites_.size() - 1);
-    std::size_t victim = pick(rng_);
-    Oid comp = composites_[victim];
-    composites_[victim] = composites_.back();
-    composites_.pop_back();
+    const auto victim = composites_.begin() +
+                        static_cast<std::ptrdiff_t>(pick(rng_));
+    const Oid comp = *victim;
+    composites_.erase(victim);
     PROMETHEUS_RETURN_IF_ERROR(db_.DeleteObject(comp));
   }
   return Status::Ok();
@@ -479,7 +482,7 @@ Status BaselineOo7::InsertS1(int k) {
 
 Status BaselineOo7::DeleteS2(int k) {
   for (int i = 0; i < k; ++i) {
-    // Find a live composite to delete.
+    // The live composites in creation order: the list PrometheusOo7 keeps.
     std::vector<std::size_t> live;
     for (std::size_t j = 0; j < composites_.size(); ++j) {
       if (composites_[j]->alive) live.push_back(j);

@@ -588,9 +588,10 @@ void Server::RegisterSystemCatalog() {
             bytes += sizeof(Object) +
                      (obj->out_links.size() + obj->in_links.size()) *
                          sizeof(Oid);
-            for (const auto& [name, value] : obj->attrs) {
+            ForEachAttribute(*obj, [&bytes](const std::string& name,
+                                            const Value& value) {
               bytes += name.size() + ApproxValueBytes(value);
-            }
+            });
           }
           const pool::ExtentHeat::Counters c = heat_for(cls->name());
           std::vector<std::string> indexed;

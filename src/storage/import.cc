@@ -136,9 +136,10 @@ Result<ImportReport> ImportSnapshot(Database* db, std::istream& in) {
          staging.Extent(cls->name(), /*include_subclasses=*/false)) {
       const Object* obj = staging.GetObject(old_oid);
       std::vector<AttrInit> inits;
-      for (const auto& [name, value] : obj->attrs) {
+      ForEachAttribute(*obj, [&inits](const std::string& name,
+                                      const Value& value) {
         if (!ContainsRef(value)) inits.emplace_back(name, value);
-      }
+      });
       PROMETHEUS_ASSIGN_OR_RETURN(
           Oid fresh, db->CreateObject(cls->name(), std::move(inits)));
       report.oid_map[old_oid] = fresh;
@@ -148,10 +149,11 @@ Result<ImportReport> ImportSnapshot(Database* db, std::istream& in) {
   // Pass 2: reference-bearing attributes, now that the map is complete.
   for (const auto& [old_oid, fresh] : report.oid_map) {
     const Object* obj = staging.GetObject(old_oid);
-    for (const auto& [name, value] : obj->attrs) {
-      if (!ContainsRef(value)) continue;
-      PROMETHEUS_RETURN_IF_ERROR(
-          db->SetAttribute(fresh, name, RemapValue(value, report.oid_map)));
+    const std::vector<const AttributeDef*>& slots = obj->cls->slots();
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (!ContainsRef(obj->attrs[i])) continue;
+      PROMETHEUS_RETURN_IF_ERROR(db->SetAttribute(
+          fresh, slots[i]->name, RemapValue(obj->attrs[i], report.oid_map)));
     }
   }
   // Pass 3: links, with endpoints, contexts and attributes remapped.
@@ -170,9 +172,10 @@ Result<ImportReport> ImportSnapshot(Database* db, std::istream& in) {
         if (mapped != report.oid_map.end()) ctx = mapped->second;
       }
       std::vector<AttrInit> inits;
-      for (const auto& [name, value] : link->attrs) {
+      ForEachAttribute(*link, [&](const std::string& name,
+                                  const Value& value) {
         inits.emplace_back(name, RemapValue(value, report.oid_map));
-      }
+      });
       PROMETHEUS_RETURN_IF_ERROR(
           db->CreateLink(rel->name(), src->second, dst->second, ctx,
                          std::move(inits))

@@ -88,10 +88,15 @@ Result<std::string> DecodeString(const std::string& text, std::size_t* pos) {
   return out;
 }
 
-/// Sorted attribute view for deterministic output.
-std::map<std::string, Value> Sorted(
-    const std::unordered_map<std::string, Value>& m) {
-  return {m.begin(), m.end()};
+/// An object's or link's attributes sorted by name, the on-disk order
+/// (independent of the in-memory slot layout).
+template <typename Record>
+std::map<std::string, Value> Sorted(const Record& rec) {
+  std::map<std::string, Value> out;
+  ForEachAttribute(rec, [&out](const std::string& name, const Value& value) {
+    out.emplace(name, value);
+  });
+  return out;
 }
 
 void WriteAttributeDef(std::ostream& out, const AttributeDef& attr) {
@@ -395,7 +400,7 @@ std::string ObjectRecord(const Database& db, Oid oid) {
   std::ostringstream out;
   out << "OBJ " << oid << " " << EncodeString(obj->cls->name()) << " "
       << obj->attrs.size();
-  for (const auto& [name, value] : Sorted(obj->attrs)) {
+  for (const auto& [name, value] : Sorted(*obj)) {
     out << " " << EncodeString(name) << " " << EncodeValue(value);
   }
   return out.str();
@@ -408,7 +413,7 @@ std::string LinkRecord(const Database& db, Oid oid) {
   out << "LINK " << oid << " " << EncodeString(link->def->name()) << " "
       << link->source << " " << link->target << " " << link->context << " "
       << link->attrs.size();
-  for (const auto& [name, value] : Sorted(link->attrs)) {
+  for (const auto& [name, value] : Sorted(*link)) {
     out << " " << EncodeString(name) << " " << EncodeValue(value);
   }
   return out.str();

@@ -128,10 +128,9 @@ Result<std::string> RenderNameDossier(const TaxonomyDatabase& tdb,
                                         db.FindRelationship(rel))) {
           const Link* link = db.GetLink(lid);
           if (link->target != type) continue;
-          auto k = link->attrs.find("type_kind");
-          if (k != link->attrs.end() &&
-              k->second.type() == ValueType::kString) {
-            kind = k->second.AsString();
+          const Value* k = link->Attr("type_kind");
+          if (k != nullptr && k->type() == ValueType::kString) {
+            kind = k->AsString();
           }
         }
       }

@@ -386,9 +386,8 @@ std::vector<Oid> TaxonomyDatabase::TypesOf(Oid name,
                                     rv.FindRelationship(rel))) {
       const Link* link = rv.GetLink(lid);
       if (kind != nullptr) {
-        auto k = link->attrs.find("type_kind");
-        if (k == link->attrs.end() ||
-            !k->second.Equals(Value::String(TypeKindName(*kind)))) {
+        const Value* k = link->Attr("type_kind");
+        if (k == nullptr || !k->Equals(Value::String(TypeKindName(*kind)))) {
           continue;
         }
       }
@@ -636,12 +635,9 @@ Result<std::vector<Oid>> TaxonomyDatabase::TypeSpecimensUnder(
              specimen, Direction::kIn,
              db_->FindRelationship(kTypifiedBySpecimenRel))) {
       const Link* link = db_->GetLink(lid);
-      auto k = link->attrs.find("type_kind");
-      if (k == link->attrs.end() ||
-          k->second.type() != ValueType::kString) {
-        continue;
-      }
-      const std::string& kind = k->second.AsString();
+      const Value* k = link->Attr("type_kind");
+      if (k == nullptr || k->type() != ValueType::kString) continue;
+      const std::string& kind = k->AsString();
       if (kind == "holotype" || kind == "lectotype" || kind == "neotype") {
         is_type = true;
         break;
@@ -750,12 +746,9 @@ Result<DerivationResult> TaxonomyDatabase::DeriveName(
                duplicate, Direction::kIn,
                db_->FindRelationship(kTypifiedBySpecimenRel))) {
         const Link* link = db_->GetLink(lid);
-        auto k = link->attrs.find("type_kind");
-        if (k == link->attrs.end() ||
-            k->second.type() != ValueType::kString) {
-          continue;
-        }
-        const std::string& kind = k->second.AsString();
+        const Value* k = link->Attr("type_kind");
+        if (k == nullptr || k->type() != ValueType::kString) continue;
+        const std::string& kind = k->AsString();
         if (kind != "holotype" && kind != "lectotype" && kind != "neotype") {
           continue;  // isotypes are not used for naming (2.1.2)
         }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/database.h"
+#include "core/oid_table.h"
 
 namespace prometheus {
 namespace {
@@ -85,9 +86,7 @@ TEST(SchemaTest, MultipleInheritance) {
   const ClassDef* c = db.FindClass("C");
   EXPECT_NE(c->FindAttribute("a"), nullptr);
   EXPECT_NE(c->FindAttribute("b"), nullptr);
-  std::vector<const AttributeDef*> all;
-  c->CollectAttributes(&all);
-  EXPECT_EQ(all.size(), 2u);
+  EXPECT_EQ(c->slots().size(), 2u);
 }
 
 TEST(SchemaTest, DefineRelationship) {
@@ -891,6 +890,107 @@ TEST_F(CoreFixture, SemanticsCanBeDisabled) {
   Oid c = NewCompany("Napier");
   // Type checking of link endpoints is skipped.
   EXPECT_TRUE(db.CreateLink("works_for", c, p).ok());
+}
+
+// ---------------------------------------------------------- storage layout
+
+TEST(OidTableTest, PageEdgesTakeAndPut) {
+  OidTable<int> table;
+  EXPECT_EQ(table.Find(1023), nullptr);  // no page yet
+  for (Oid oid : {1023u, 1024u, 1025u}) {
+    table.Put(oid, std::make_unique<int>(static_cast<int>(oid)));
+  }
+  EXPECT_EQ(table.size(), 3u);
+  for (Oid oid : {1023u, 1024u, 1025u}) {
+    ASSERT_NE(table.Find(oid), nullptr) << oid;
+    EXPECT_EQ(*table.Find(oid), static_cast<int>(oid));
+  }
+  for (Oid oid : {Oid{0}, Oid{1}, Oid{1022}, Oid{1026}, Oid{2047},
+                  Oid{2048}, Oid{1} << 40, Oid{1} << 62}) {
+    EXPECT_EQ(table.Find(oid), nullptr) << oid;
+  }
+  // Records keep their address while the directory grows.
+  const int* at_1023 = table.Find(1023);
+  table.Put(50000, std::make_unique<int>(50000));
+  EXPECT_EQ(table.Find(1023), at_1023);
+
+  std::unique_ptr<int> taken = table.Take(1024);
+  ASSERT_NE(taken, nullptr);
+  EXPECT_EQ(*taken, 1024);
+  EXPECT_EQ(table.Find(1024), nullptr);
+  EXPECT_EQ(table.Take(1024), nullptr);
+  EXPECT_EQ(table.Take(Oid{1} << 62), nullptr);
+  EXPECT_EQ(table.size(), 3u);
+  table.Put(1024, std::move(taken));
+  EXPECT_EQ(*table.Find(1024), 1024);
+  EXPECT_EQ(table.size(), 4u);
+}
+
+TEST(OidTableTest, IteratesInOidOrderAndClears) {
+  OidTable<int> table;
+  const std::vector<Oid> scrambled = {3000, 1, 1024, 70000, 1023, 2, 1025};
+  for (Oid oid : scrambled) {
+    table.Put(oid, std::make_unique<int>(static_cast<int>(oid) * 2));
+  }
+  std::vector<Oid> seen;
+  table.ForEach([&seen](Oid oid, const int& value) {
+    EXPECT_EQ(value, static_cast<int>(oid) * 2);
+    seen.push_back(oid);
+  });
+  std::vector<Oid> sorted = scrambled;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(seen, sorted);
+
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.Find(1), nullptr);
+  EXPECT_EQ(table.Find(70000), nullptr);
+  int visits = 0;
+  table.ForEach([&visits](Oid, const int&) { ++visits; });
+  EXPECT_EQ(visits, 0);
+  table.Put(1024, std::make_unique<int>(7));
+  EXPECT_EQ(*table.Find(1024), 7);
+}
+
+TEST(SlotLayoutTest, InheritedFirstAndRedeclaredKeepsTheSlot) {
+  Database db;
+  ASSERT_TRUE(db.DefineClass("A", {}, {StrAttr("a")}).ok());
+  ASSERT_TRUE(db.DefineClass("B", {"A"}, {StrAttr("b")}).ok());
+  ASSERT_TRUE(db.DefineClass("C", {"A"}, {StrAttr("c")}).ok());
+  ASSERT_TRUE(db.DefineClass("D", {"B", "C"}, {StrAttr("d")}).ok());
+  const ClassDef* d = db.FindClass("D");
+  std::vector<std::string> names;
+  for (const AttributeDef* a : d->slots()) names.push_back(a->name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "b", "c", "d"}));
+  EXPECT_EQ(d->SlotOf("c"), 2u);
+  EXPECT_EQ(d->SlotOf("nope"), kNoSlot);
+
+  ASSERT_TRUE(db.DefineRelationship("r", "A", "A", {},
+                                    {IntAttr("w", 1), IntAttr("v", 2)})
+                  .ok());
+  ASSERT_TRUE(
+      db.DefineRelationship("s", "D", "D", {}, {IntAttr("w", 9)}, {"r"})
+          .ok());
+  const RelationshipDef* s = db.FindRelationship("s");
+  ASSERT_EQ(s->slots().size(), 2u);
+  EXPECT_EQ(s->SlotOf("w"), 0u);
+  EXPECT_EQ(s->slots()[0], s->FindAttribute("w"));
+  EXPECT_EQ(s->slots()[0], &s->attributes()[0]);
+
+  const Oid x = db.CreateObject("D", {{"c", Value::String("cc")}}).value();
+  const Oid y = db.CreateObject("D").value();
+  const Oid l = db.CreateLink("s", x, y).value();
+  EXPECT_TRUE(db.GetLinkAttribute(l, "w").value().Equals(Value::Int(9)));
+  EXPECT_TRUE(db.GetLinkAttribute(l, "v").value().Equals(Value::Int(2)));
+  EXPECT_TRUE(db.GetAttribute(x, "c").value().Equals(Value::String("cc")));
+  EXPECT_TRUE(db.GetAttribute(x, "d").value().is_null());
+  // A slot write is undone to the old value.
+  ASSERT_TRUE(db.Begin().ok());
+  ASSERT_TRUE(db.SetAttribute(x, "c", Value::String("new")).ok());
+  ASSERT_TRUE(db.SetLinkAttribute(l, "v", Value::Int(5)).ok());
+  ASSERT_TRUE(db.Abort().ok());
+  EXPECT_TRUE(db.GetAttribute(x, "c").value().Equals(Value::String("cc")));
+  EXPECT_TRUE(db.GetLinkAttribute(l, "v").value().Equals(Value::Int(2)));
 }
 
 }  // namespace

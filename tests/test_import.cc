@@ -117,8 +117,8 @@ TEST(ImportTest, RemapsEveryKindOfReference) {
       if (fresh_link->target != map.at(old_link->target)) continue;
       found = true;
       EXPECT_EQ(fresh_link->context, map.at(old_link->context));
-      EXPECT_TRUE(fresh_link->attrs.at("motivation")
-                      .Equals(old_link->attrs.at("motivation")));
+      EXPECT_TRUE(fresh_link->Attr("motivation")
+                      ->Equals(*old_link->Attr("motivation")));
     }
     EXPECT_TRUE(found);
   }

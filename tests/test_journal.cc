@@ -52,10 +52,12 @@ class JournalFixture : public ::testing::Test {
       const Object* original = db.GetObject(oid);
       const Object* copy = replica.GetObject(oid);
       ASSERT_NE(copy, nullptr) << "missing object @" << oid;
-      for (const auto& [name, value] : original->attrs) {
-        EXPECT_TRUE(copy->attrs.at(name).Equals(value))
+      ForEachAttribute(*original, [&](const std::string& name,
+                                      const Value& value) {
+        ASSERT_NE(copy->Attr(name), nullptr) << "@" << oid << "." << name;
+        EXPECT_TRUE(copy->Attr(name)->Equals(value))
             << "@" << oid << "." << name;
-      }
+      });
       EXPECT_EQ(copy->out_links.size(), original->out_links.size());
     }
   }

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "core/database.h"
 #include "storage/journal.h"
@@ -119,10 +121,11 @@ void ExpectEquivalent(const Database& a, const Database& b) {
     const Object* ob = b.GetObject(oid);
     ASSERT_NE(ob, nullptr) << "missing object @" << oid;
     EXPECT_EQ(oa->cls->name(), ob->cls->name());
-    for (const auto& [name, value] : oa->attrs) {
-      EXPECT_TRUE(ob->attrs.at(name).Equals(value)) << "@" << oid << "."
-                                                    << name;
-    }
+    ForEachAttribute(*oa, [&](const std::string& name, const Value& value) {
+      ASSERT_NE(ob->Attr(name), nullptr) << "@" << oid << "." << name;
+      EXPECT_TRUE(ob->Attr(name)->Equals(value)) << "@" << oid << "."
+                                                 << name;
+    });
     // Same incident link multiset (by oid).
     std::vector<Oid> la = oa->out_links;
     std::vector<Oid> lb = ob->out_links;
@@ -279,6 +282,155 @@ TEST_P(FuzzSeeds, SynonymEquivalenceLaws) {
     total += size;
   }
   EXPECT_EQ(total, nodes.size());
+}
+
+/// A graph schema for the traversal differential: a relationship with a
+/// sub-relationship, an undirected one, and classification-like context
+/// objects the links may belong to.
+void DefineGraphSchema(Database* db) {
+  ASSERT_TRUE(db->DefineClass("Node").ok());
+  ASSERT_TRUE(db->DefineClass("Leaf", {"Node"}).ok());
+  ASSERT_TRUE(db->DefineClass("Ctx").ok());
+  ASSERT_TRUE(db->DefineRelationship("edge", "Node", "Node").ok());
+  ASSERT_TRUE(
+      db->DefineRelationship("sub_edge", "Node", "Leaf", {}, {}, {"edge"})
+          .ok());
+  RelationshipSemantics undirected;
+  undirected.directed = false;
+  ASSERT_TRUE(
+      db->DefineRelationship("peer", "Node", "Node", undirected).ok());
+}
+
+/// One random graph mutation: object or link creation (self-loops and
+/// contexts included), link deletion or object deletion.
+void RandomGraphOp(Database* db, std::mt19937* rng,
+                   const std::vector<Oid>& contexts) {
+  const std::vector<Oid> nodes = db->Extent("Node");
+  const unsigned op = (*rng)() % 10;
+  if (nodes.size() < 2 || op < 3) {
+    ASSERT_TRUE(db->CreateObject((*rng)() % 3 == 0 ? "Leaf" : "Node").ok());
+    return;
+  }
+  const Oid a = nodes[(*rng)() % nodes.size()];
+  const Oid b = nodes[(*rng)() % nodes.size()];
+  if (op < 8) {
+    const char* rels[] = {"edge", "sub_edge", "peer"};
+    const char* rel = rels[(*rng)() % 3];
+    if (std::string(rel) == "sub_edge" && !db->IsInstanceOf(b, "Leaf")) {
+      rel = "edge";
+    }
+    const Oid ctx = (*rng)() % 2 == 0
+                        ? kNullOid
+                        : contexts[(*rng)() % contexts.size()];
+    ASSERT_TRUE(db->CreateLink(rel, a, b, ctx).ok());
+  } else if (op == 8) {
+    const std::vector<Oid> links = db->IncidentLinks(a, Direction::kBoth);
+    if (!links.empty()) {
+      ASSERT_TRUE(db->DeleteLink(links[(*rng)() % links.size()]).ok());
+    }
+  } else {
+    ASSERT_TRUE(db->DeleteObject(a).ok());
+  }
+}
+
+/// Neighbors computed the slow way, from the link extents: the reference
+/// for the filter semantics (sub-relationships, undirected classes,
+/// contexts). Compared as a multiset.
+std::vector<Oid> ReferenceNeighbors(const Database& db, Oid oid,
+                                    const std::string& rel, Direction dir,
+                                    Oid ctx) {
+  const RelationshipDef* def = db.FindRelationship(rel);
+  bool want_out = dir != Direction::kIn;
+  bool want_in = dir != Direction::kOut;
+  if (!def->semantics().directed) want_out = want_in = true;
+  std::vector<Oid> out;
+  if (db.GetObject(oid) == nullptr) return out;
+  for (Oid lid : db.LinkExtent(rel)) {
+    const Link* l = db.GetLink(lid);
+    if (ctx != kNullOid && l->context != ctx) continue;
+    if (want_out && l->source == oid) out.push_back(l->target);
+    if (want_in && l->target == oid) out.push_back(l->source);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Asserts that `Neighbors`, `IncidentLinks` and `Traverse` give the same
+/// answers on the live database and on `snap`, for every direction,
+/// relationship filter and context, and that `Neighbors` matches the
+/// reference.
+void ExpectTraversalsAgree(const Database& db, const DbSnapshot& snap,
+                           const std::vector<Oid>& probes,
+                           const std::vector<Oid>& contexts) {
+  std::vector<Oid> ctxs = contexts;
+  ctxs.push_back(kNullOid);
+  for (Oid oid : probes) {
+    for (Direction dir : {Direction::kOut, Direction::kIn, Direction::kBoth}) {
+      for (Oid ctx : ctxs) {
+        EXPECT_EQ(db.IncidentLinks(oid, dir, nullptr, ctx),
+                  snap.IncidentLinks(oid, dir, nullptr, ctx))
+            << "@" << oid;
+        for (const char* rel : {"edge", "sub_edge", "peer"}) {
+          const std::string where = "@" + std::to_string(oid) + " " + rel +
+                                    " dir " +
+                                    std::to_string(static_cast<int>(dir)) +
+                                    " ctx " + std::to_string(ctx);
+          EXPECT_EQ(db.IncidentLinks(oid, dir, db.FindRelationship(rel), ctx),
+                    snap.IncidentLinks(oid, dir, snap.FindRelationship(rel),
+                                       ctx))
+              << where;
+          const std::vector<Oid> live = db.Neighbors(oid, rel, dir, ctx);
+          EXPECT_EQ(live, snap.Neighbors(oid, rel, dir, ctx)) << where;
+          std::vector<Oid> sorted = live;
+          std::sort(sorted.begin(), sorted.end());
+          EXPECT_EQ(sorted, ReferenceNeighbors(db, oid, rel, dir, ctx))
+              << where;
+          for (std::uint32_t lo = 0; lo <= 1; ++lo) {
+            for (std::uint32_t hi : {0u, 1u, 3u}) {
+              auto a = db.Traverse(oid, rel, lo, hi, dir, ctx);
+              auto b = snap.Traverse(oid, rel, lo, hi, dir, ctx);
+              ASSERT_EQ(a.ok(), b.ok()) << where;
+              if (a.ok()) {
+                EXPECT_EQ(a.value(), b.value()) << where;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(FuzzSeeds, LiveAndSnapshotTraversalsAgree) {
+  std::mt19937 rng(GetParam() + 5000);
+  Database db;
+  DefineGraphSchema(&db);
+  std::vector<Oid> contexts;
+  for (int i = 0; i < 2; ++i) {
+    contexts.push_back(db.CreateObject("Ctx").value());
+  }
+  for (int i = 0; i < 120; ++i) RandomGraphOp(&db, &rng, contexts);
+  ASSERT_GT(db.link_count(), 20u);
+  // Probe live objects plus oids that were deleted or never existed.
+  auto probes = [&db] {
+    std::vector<Oid> out = db.Extent("Node");
+    for (Oid oid = 1; oid < 40; oid += 7) out.push_back(oid);
+    out.push_back(1u << 20);
+    return out;
+  };
+  {
+    // A full snapshot build.
+    SnapshotHandle snap = db.AcquireSnapshot();
+    ExpectTraversalsAgree(db, *snap, probes(), contexts);
+  }
+  // Incremental builds: mutations in write sections, each publishing the
+  // next snapshot from the previous one and the dirty set.
+  for (int i = 0; i < 60; ++i) {
+    Database::WriteGuard guard(db);
+    RandomGraphOp(&db, &rng, contexts);
+  }
+  SnapshotHandle snap = db.AcquireSnapshot();
+  ExpectTraversalsAgree(db, *snap, probes(), contexts);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,

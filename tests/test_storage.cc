@@ -4,6 +4,7 @@
 
 #include "classification/classification.h"
 #include "storage/snapshot.h"
+#include "taxonomy/synthetic.h"
 
 namespace prometheus::storage {
 namespace {
@@ -253,6 +254,111 @@ TEST(SnapshotTest, EmptyDatabaseRoundTrips) {
   ASSERT_TRUE(LoadSnapshot(&loaded, buffer).ok());
   EXPECT_EQ(loaded.object_count(), 0u);
   EXPECT_TRUE(loaded.classes().empty());
+}
+
+TEST(SnapshotTest, GeneratedFloraResavesByteIdentical) {
+  taxonomy::TaxonomyDatabase tdb;
+  taxonomy::FloraConfig config;
+  config.families = 2;
+  config.genera_per_family = 3;
+  config.species_per_genus = 4;
+  config.specimens_per_species = 3;
+  ASSERT_TRUE(taxonomy::GenerateFlora(&tdb, config).ok());
+
+  std::stringstream first;
+  ASSERT_TRUE(SaveSnapshot(tdb.db(), first).ok());
+  Database loaded;
+  ASSERT_TRUE(LoadSnapshot(&loaded, first).ok());
+  std::stringstream second;
+  ASSERT_TRUE(SaveSnapshot(loaded, second).ok());
+  EXPECT_GT(first.str().size(), 1000u);
+  EXPECT_EQ(first.str(), second.str());
+}
+
+/// A hand-made snapshot: the schema records of a two-class database, then
+/// the given instance records.
+std::string HandMadeSnapshot(const std::vector<std::string>& records) {
+  Database schema;
+  EXPECT_TRUE(schema.DefineClass("Taxon", {},
+                                 {Attr("name", ValueType::kString),
+                                  Attr("year", ValueType::kInt,
+                                       Value::Int(1753))})
+                  .ok());
+  EXPECT_TRUE(schema
+                  .DefineRelationship("linked", "Taxon", "Taxon", {},
+                                      {Attr("why", ValueType::kString,
+                                            Value::String("unstated"))})
+                  .ok());
+  std::string text = "PROMETHEUS-SNAPSHOT-1\n";
+  for (const std::string& r : SchemaRecords(schema)) text += r + "\n";
+  for (const std::string& r : records) text += r + "\n";
+  return text + "END\n";
+}
+
+TEST(SnapshotTest, RawRestoreAppliesDefaultsAndChecksTheSchema) {
+  // Absent declared attributes get their defaults: the restored object and
+  // link equal freshly created ones.
+  {
+    std::stringstream in(HandMadeSnapshot(
+        {"OBJ 5 5:Taxon 1 4:name s5:Abies", "OBJ 6 5:Taxon 0",
+         "LINK 7 6:linked 5 6 0 0"}));
+    Database db;
+    ASSERT_TRUE(LoadSnapshot(&db, in).ok());
+    EXPECT_TRUE(db.GetAttribute(5, "name").value().Equals(
+        Value::String("Abies")));
+    EXPECT_TRUE(db.GetAttribute(5, "year").value().Equals(Value::Int(1753)));
+    EXPECT_TRUE(db.GetAttribute(6, "name").value().is_null());
+    EXPECT_TRUE(db.GetLinkAttribute(7, "why").value().Equals(
+        Value::String("unstated")));
+    const Oid created = db.CreateObject("Taxon").value();
+    EXPECT_EQ(db.GetObject(created)->attrs.size(),
+              db.GetObject(6)->attrs.size());
+    for (std::size_t i = 0; i < db.GetObject(6)->attrs.size(); ++i) {
+      EXPECT_TRUE(
+          db.GetObject(created)->attrs[i].Equals(db.GetObject(6)->attrs[i]));
+    }
+  }
+  // Undeclared names and mistyped values are refused, for objects and
+  // links alike.
+  for (const char* bad :
+       {"OBJ 7 5:Taxon 1 6:colour s3:red", "OBJ 7 5:Taxon 1 4:year s4:1999",
+        "LINK 7 6:linked 5 6 0 1 4:what s1:x",
+        "LINK 7 6:linked 5 6 0 1 3:why i1:3"}) {
+    std::stringstream in(HandMadeSnapshot(
+        {"OBJ 5 5:Taxon 0", "OBJ 6 5:Taxon 0", bad}));
+    Database db;
+    const Status st = LoadSnapshot(&db, in);
+    EXPECT_EQ(st.code(), Status::Code::kIoError) << bad;
+    EXPECT_EQ(db.GetObject(7), nullptr) << bad;
+    EXPECT_EQ(db.GetLink(7), nullptr) << bad;
+  }
+}
+
+TEST(SnapshotTest, AbsurdOidIsRefusedNotAllocated) {
+  // 2^62: a corrupt oid must not size the oid table's page directory.
+  const std::string absurd = std::to_string(Oid{1} << 62);
+  {
+    std::stringstream in(HandMadeSnapshot({"OBJ " + absurd + " 5:Taxon 0"}));
+    Database db;
+    const Status st = LoadSnapshot(&db, in);
+    EXPECT_EQ(st.code(), Status::Code::kIoError);
+    EXPECT_NE(st.ToString().find("InvalidArgument"), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(db.object_count(), 0u);
+  }
+  Database db;
+  std::stringstream in(HandMadeSnapshot({"OBJ 5 5:Taxon 0"}));
+  ASSERT_TRUE(LoadSnapshot(&db, in).ok());
+  EXPECT_EQ(db.RestoreObjectRaw(Oid{1} << 62, "Taxon", {}).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(db.RestoreLinkRaw(Oid{1} << 62, "linked", 5, 5, kNullOid, {})
+                .code(),
+            Status::Code::kInvalidArgument);
+  // An oid already in use is refused the same way.
+  EXPECT_EQ(db.RestoreObjectRaw(5, "Taxon", {}).code(),
+            Status::Code::kInvalidArgument);
+  // The directory was never grown: new oids continue right after 5.
+  EXPECT_EQ(db.CreateObject("Taxon").value(), 6u);
 }
 
 }  // namespace
