@@ -1,7 +1,8 @@
 // Ablation — storage substrate throughput: snapshot save/load and journal
-// write/replay over OO7-shaped databases. Expected shape: snapshot cost is
-// linear in database size; journal appends add a small constant per
-// mutation; replay costs roughly one Create* call per record.
+// write/replay over OO7-shaped databases, plus the record-codec stages of a
+// flora-scale store set-up. Expected shape: snapshot cost is linear in
+// database size; journal appends add a small constant per mutation; replay
+// costs roughly one Create* call per record.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "storage/journal.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
+#include "taxonomy/synthetic.h"
 
 namespace {
 
@@ -150,6 +152,66 @@ void PrintDurableSeries() {
   }
 }
 
+/// The record-codec stages of a flora-scale store set-up (GenerateFlora
+/// 16x10x25x4 plus a 160-genus revision, the repository benchmark's flora):
+/// snapshot save to a file, snapshot load, a bootstrap open of a fresh
+/// `DurableStore` that loads that snapshot (load plus the journal
+/// prologue) and its first checkpoint. Medians of three.
+void PrintFloraSeries() {
+  prometheus::bench::PrintTableHeader(
+      "Flora set-up: snapshot, bootstrap open and checkpoint",
+      "  objects   links   image_mb   save_ms   load_ms   open_ms   "
+      "checkpoint_ms");
+  namespace st = prometheus::storage;
+  namespace tx = prometheus::taxonomy;
+  tx::TaxonomyDatabase tdb;
+  tx::FloraConfig fc;
+  fc.families = 16;
+  fc.genera_per_family = 10;
+  fc.species_per_genus = 25;
+  fc.specimens_per_species = 4;
+  auto flora = tx::GenerateFlora(&tdb, fc);
+  if (!flora.ok() || !tx::GenerateRevision(&tdb, flora.value(), 160, 2).ok()) {
+    std::printf("  flora generation failed\n");
+    return;
+  }
+  const std::string path = "/tmp/prometheus_bench_flora.pdb";
+  const std::string dir = "/tmp/prometheus_bench_flora_store";
+  const double save_ms = prometheus::bench::MedianMillis([&] {
+    benchmark::DoNotOptimize(st::SaveSnapshot(tdb.db(), path).ok());
+  });
+  const double load_ms = prometheus::bench::MedianMillis([&] {
+    Database fresh;
+    benchmark::DoNotOptimize(st::LoadSnapshot(&fresh, path).ok());
+  });
+  st::DurableStore::Options options;
+  options.bootstrap = [&path](Database* db) {
+    return st::LoadSnapshot(db, path);
+  };
+  std::vector<double> open_ms, checkpoint_ms;
+  for (int rep = 0; rep < 3; ++rep) {
+    std::filesystem::remove_all(dir);
+    std::unique_ptr<st::DurableStore> store;
+    open_ms.push_back(prometheus::bench::MedianMillis(
+        [&] {
+          auto opened = st::DurableStore::Open(dir, options);
+          if (opened.ok()) store = std::move(opened).value();
+        },
+        1));
+    if (store == nullptr) return;
+    checkpoint_ms.push_back(prometheus::bench::MedianMillis(
+        [&] { benchmark::DoNotOptimize(store->Checkpoint().ok()); }, 1));
+  }
+  std::sort(open_ms.begin(), open_ms.end());
+  std::sort(checkpoint_ms.begin(), checkpoint_ms.end());
+  std::printf("  %7zu  %6zu   %8.2f   %7.1f   %7.1f   %7.1f   %13.1f\n",
+              tdb.db().object_count(), tdb.db().link_count(),
+              static_cast<double>(std::filesystem::file_size(path)) / 1048576.0,
+              save_ms, load_ms, open_ms[1], checkpoint_ms[1]);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(path);
+}
+
 void BM_SnapshotSave(benchmark::State& state) {
   PrometheusOo7 prom(MakeConfig(static_cast<int>(state.range(0))));
   for (auto _ : state) {
@@ -205,6 +267,7 @@ BENCHMARK(BM_JournalledCreate)
 int main(int argc, char** argv) {
   PrintSeries();
   PrintDurableSeries();
+  PrintFloraSeries();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,8 +1,8 @@
 #include "storage/journal.h"
 
 #include <cctype>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -98,19 +98,16 @@ constexpr std::string_view kEndRecord = Journal::kMarkerEnd;
 /// must not drive a giant allocation.
 constexpr std::uint64_t kMaxRecordBytes = 1ull << 30;
 
-std::string FrameRecord(std::string_view payload) {
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", Crc32(payload));
-  std::string out;
-  out.reserve(payload.size() + 24);
-  out += "R ";
-  out += crc;
-  out += ' ';
-  out += std::to_string(payload.size());
-  out += ':';
-  out += payload;
-  out += '\n';
-  return out;
+/// Appends the frame "R <crc32:8-hex> <len>:<payload>\n" to `*out`.
+void AppendFrame(std::string* out, std::string_view payload) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const std::uint32_t crc = Crc32(payload);
+  char head[40] = "R ";
+  for (int i = 0; i < 8; ++i) head[2 + i] = kHex[(crc >> (28 - 4 * i)) & 0xF];
+  head[10] = ' ';
+  char* end = std::to_chars(head + 11, head + sizeof(head), payload.size()).ptr;
+  *end++ = ':';
+  out->append(head, end).append(payload) += '\n';
 }
 
 enum class FrameKind { kRecord, kEof, kCorrupt };
@@ -364,39 +361,17 @@ Result<std::unique_ptr<Journal>> Journal::Open(Database* db,
   }
   PROMETHEUS_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
                               env->NewWritableFile(path, /*truncate=*/true));
-  PROMETHEUS_RETURN_IF_ERROR(
-      file->Append(std::string(kJournalHeaderFull) + "\n"));
-  for (const std::string& record : SchemaRecords(*db)) {
-    PROMETHEUS_RETURN_IF_ERROR(file->Append(FrameRecord(record)));
-  }
   // A `full` journal must replay to the database's state standalone: a
   // brand-new store can already hold bootstrap data that no snapshot
-  // covers, so the prologue carries that data too, not just the schema.
-  // Same order as SaveSnapshot — objects first (contexts are objects, so
-  // link records resolve), then links, then synonym edges.
-  for (const ClassDef* cls : db->classes()) {
-    for (Oid oid : db->Extent(cls->name(), /*include_subclasses=*/false)) {
-      PROMETHEUS_RETURN_IF_ERROR(
-          file->Append(FrameRecord(ObjectRecord(*db, oid))));
-    }
-  }
-  for (const RelationshipDef* rel : db->relationships()) {
-    for (Oid oid :
-         db->LinkExtent(rel->name(), /*include_subrelationships=*/false)) {
-      PROMETHEUS_RETURN_IF_ERROR(
-          file->Append(FrameRecord(LinkRecord(*db, oid))));
-    }
-  }
-  for (const ClassDef* cls : db->classes()) {
-    for (Oid oid : db->Extent(cls->name(), /*include_subclasses=*/false)) {
-      const Oid root = db->CanonicalOf(oid);
-      if (root != oid) {
-        PROMETHEUS_RETURN_IF_ERROR(file->Append(FrameRecord(
-            "SYN " + std::to_string(oid) + " " + std::to_string(root))));
-      }
-    }
-  }
-  PROMETHEUS_RETURN_IF_ERROR(file->Append(FrameRecord(kEndOfSchema)));
+  // covers, so the prologue carries that data too, not just the schema —
+  // the same record walk as a snapshot, framed and written in chunks.
+  std::string buf(kJournalHeaderFull);
+  buf += '\n';
+  PROMETHEUS_RETURN_IF_ERROR(StreamRecords(
+      *db, AppendFrame, &buf,
+      [&file](std::string_view chunk) { return file->Append(chunk); }));
+  AppendFrame(&buf, kEndOfSchema);
+  PROMETHEUS_RETURN_IF_ERROR(file->Append(buf));
   PROMETHEUS_RETURN_IF_ERROR(file->Flush());
   return std::unique_ptr<Journal>(new Journal(db, std::move(file)));
 }
@@ -486,7 +461,8 @@ Status Journal::Sync() {
 
 void Journal::AppendLocked(std::string_view payload) {
   if (!sticky_.ok() || closed_) return;
-  std::string frame = FrameRecord(payload);
+  std::string frame;
+  AppendFrame(&frame, payload);
   Status st;
   {
     JournalOpTimer timer(JournalMetrics::Get().append_micros,
@@ -550,28 +526,20 @@ void Journal::OnEventLocked(const Event& event) {
     case EventKind::kAfterDeleteObject:
       EmitLocked("DELO " + std::to_string(event.subject));
       break;
-    case EventKind::kAfterSetAttribute: {
-      std::ostringstream rec;
-      rec << "SETA " << event.subject << " "
-          << std::to_string(event.attribute.size()) << ":" << event.attribute
-          << " " << EncodeValue(event.new_value);
-      EmitLocked(rec.str());
+    case EventKind::kAfterSetAttribute:
+      EmitLocked(SetRecord("SETA", event.subject, event.attribute,
+                           event.new_value));
       break;
-    }
     case EventKind::kAfterCreateLink:
       EmitLocked(LinkRecord(*db_, event.subject));
       break;
     case EventKind::kAfterDeleteLink:
       EmitLocked("DELL " + std::to_string(event.subject));
       break;
-    case EventKind::kAfterSetLinkAttribute: {
-      std::ostringstream rec;
-      rec << "SETL " << event.subject << " "
-          << std::to_string(event.attribute.size()) << ":" << event.attribute
-          << " " << EncodeValue(event.new_value);
-      EmitLocked(rec.str());
+    case EventKind::kAfterSetLinkAttribute:
+      EmitLocked(SetRecord("SETL", event.subject, event.attribute,
+                           event.new_value));
       break;
-    }
     case EventKind::kAfterDeclareSynonym:
       // `target` is the child root united under `source`.
       EmitLocked("SYN " + std::to_string(event.target) + " " +

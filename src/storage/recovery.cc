@@ -1,6 +1,7 @@
 #include "storage/recovery.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <map>
 
@@ -18,6 +19,8 @@ struct StoreMetrics {
   obs::Counter* torn_tails;
   obs::Counter* replayed_records;
   obs::Counter* checkpoints;
+  obs::Histogram* checkpoint_micros;
+  obs::Gauge* snapshot_bytes;
 
   static const StoreMetrics& Get() {
     static const StoreMetrics m = [] {
@@ -33,6 +36,11 @@ struct StoreMetrics {
           "Journal records replayed during recovery");
       sm.checkpoints = reg.GetCounter("store_checkpoints_total",
                                       "Successful atomic checkpoints");
+      sm.checkpoint_micros = reg.GetHistogram(
+          "store_checkpoint_micros",
+          "Latency of successful checkpoints (snapshot write to rotation)");
+      sm.snapshot_bytes = reg.GetGauge(
+          "store_snapshot_bytes", "Size of the newest checkpoint snapshot");
       return sm;
     }();
     return m;
@@ -218,11 +226,12 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   } else {
     // No journal, or one whose header/prologue never hit the disk: a
     // prologue without its EOS marker cannot be followed by mutation
-    // records, so nothing durable is lost by starting over. A brand-new
-    // store runs the bootstrap first so the schema lands in the journal
-    // prologue.
-    if (store->snapshot_seq_ == 0 && store->info_.replayed_records == 0) {
+    // records, so nothing durable is lost by starting over — not even the
+    // bootstrap records a torn prologue replayed. A brand-new store runs
+    // the bootstrap first so the schema lands in the journal prologue.
+    if (store->snapshot_seq_ == 0 && store->info_.replayed.size() <= 1) {
       store->db_ = std::make_unique<Database>();  // drop any partial prologue
+      store->info_.replayed_records = 0;
       if (options.bootstrap) {
         PROMETHEUS_RETURN_IF_ERROR(options.bootstrap(store->db_.get()));
       }
@@ -285,6 +294,7 @@ Status DurableStore::OpenJournalFresh() {
 }
 
 Status DurableStore::Checkpoint() {
+  const auto start = std::chrono::steady_clock::now();
   std::uint64_t new_seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -344,7 +354,15 @@ Status DurableStore::Checkpoint() {
     if (seq >= floor) break;
     (void)env_->RemoveFile(dir_ + "/" + JournalFileName(seq));
   }
-  StoreMetrics::Get().checkpoints->Increment();
+  const StoreMetrics& metrics = StoreMetrics::Get();
+  metrics.checkpoints->Increment();
+  metrics.checkpoint_micros->Observe(
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  if (Result<std::uint64_t> size = env_->FileSize(snapshot_path); size.ok()) {
+    metrics.snapshot_bytes->Set(static_cast<std::int64_t>(size.value()));
+  }
   return Status::Ok();
 }
 

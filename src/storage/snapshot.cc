@@ -1,10 +1,11 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <fstream>
-#include <map>
-#include <sstream>
+#include <iterator>
+#include <numeric>
+#include <type_traits>
 
 #include "storage/fault.h"
 
@@ -19,51 +20,99 @@ constexpr char kMagic[] = "PROMETHEUS-SNAPSHOT-1";
 /// normally if the data really is that large.
 constexpr std::size_t kMaxReserve = 1024;
 
-// ---- exception-free numeric parsing (corrupt input must never throw) ----
+// ---- encoding: direct appends, locale-independent numbers ----
 
-Status BadNumber(const std::string& word) {
-  return Status::IoError("corrupt record: bad number '" + word + "'");
+/// A length-prefixed string field: "<n>:<bytes>".
+struct Str {
+  std::string_view s;
+};
+
+/// Appends record fields to a string. Numbers go through `std::to_chars`,
+/// so the bytes never depend on the global locale.
+class Writer {
+ public:
+  explicit Writer(std::string* out) : out_(out) {}
+  Writer& operator<<(char c) { return Put({&c, 1}); }
+  Writer& operator<<(const char* s) { return Put(s); }
+  Writer& operator<<(bool b) { return Put(b ? "1" : "0"); }
+  Writer& operator<<(Str s) { return (*this << s.s.size()).Put(":").Put(s.s); }
+  Writer& operator<<(const Value& v) {
+    AppendValue(out_, v);
+    return *this;
+  }
+  template <typename Int, typename = std::enable_if_t<std::is_integral_v<Int>>>
+  Writer& operator<<(Int n) {
+    char buf[24];
+    return Put({buf, std::to_chars(buf, buf + sizeof(buf), n).ptr});
+  }
+  /// A number as a tagged length-prefixed field ("i4:1753").
+  template <typename Number, typename... Format>
+  Writer& Boxed(char tag, Number n, Format... format) {
+    char buf[32];
+    const char* end = std::to_chars(buf, buf + sizeof(buf), n, format...).ptr;
+    return *this << tag << Str{{buf, static_cast<std::size_t>(end - buf)}};
+  }
+
+ private:
+  Writer& Put(std::string_view s) {
+    out_->append(s);
+    return *this;
+  }
+
+  std::string* out_;
+};
+
+void WriteAttributeDefs(Writer& w, const std::vector<AttributeDef>& attrs) {
+  w << ' ' << attrs.size();
+  for (const AttributeDef& a : attrs) {
+    w << ' ' << Str{a.name} << ' ' << static_cast<int>(a.type) << ' '
+      << Str{a.ref_class} << ' ' << a.default_value;
+  }
 }
 
-Result<std::uint64_t> ParseU64(const std::string& word) {
-  std::uint64_t value = 0;
-  auto [ptr, ec] = std::from_chars(word.data(), word.data() + word.size(),
-                                   value);
-  if (ec != std::errc() || ptr != word.data() + word.size() || word.empty()) {
-    return BadNumber(word);
+void WriteSemantics(Writer& w, const RelationshipSemantics& sem) {
+  w << static_cast<int>(sem.kind) << ' ' << sem.exclusive << ' '
+    << Str{sem.exclusivity_group} << ' ' << sem.shareable << ' '
+    << sem.lifetime_dependent << ' ' << sem.constant << ' '
+    << sem.inherit_attributes << ' ' << sem.directed << ' ' << sem.max_out
+    << ' ' << sem.max_in << ' ' << sem.min_out << ' ' << sem.min_in;
+}
+
+/// " <count>" then " <name> <value>" per attribute, sorted by name — the
+/// on-disk order, independent of the in-memory slot layout.
+void WriteSortedAttributes(Writer& w,
+                           const std::vector<const AttributeDef*>& slots,
+                           const std::vector<Value>& attrs) {
+  thread_local std::vector<std::uint32_t> order;
+  order.resize(attrs.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&slots](auto a, auto b) {
+    return slots[a]->name < slots[b]->name;
+  });
+  w << ' ' << attrs.size();
+  for (std::uint32_t slot : order) {
+    w << ' ' << Str{slots[slot]->name} << ' ' << attrs[slot];
+  }
+}
+
+// ---- exception-free parsing (corrupt input must never throw) ----
+
+template <typename Number>
+Result<Number> ParseNumber(std::string_view word) {
+  Number value{};
+  const char* end = word.data() + word.size();
+  auto [ptr, ec] = std::from_chars(word.data(), end, value);
+  if (ec != std::errc() || ptr != end || word.empty()) {
+    return Status::IoError("corrupt record: bad number '" + std::string(word) +
+                           "'");
   }
   return value;
 }
 
-Result<std::int64_t> ParseI64(const std::string& word) {
-  std::int64_t value = 0;
-  auto [ptr, ec] = std::from_chars(word.data(), word.data() + word.size(),
-                                   value);
-  if (ec != std::errc() || ptr != word.data() + word.size() || word.empty()) {
-    return BadNumber(word);
-  }
-  return value;
-}
-
-Result<double> ParseDouble(const std::string& word) {
-  if (word.empty()) return BadNumber(word);
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(word.c_str(), &end);
-  if (end != word.c_str() + word.size() || errno == ERANGE) {
-    return BadNumber(word);
-  }
-  return value;
-}
-
-/// Length-prefixed string: "<n>:<bytes>".
-std::string EncodeString(const std::string& s) {
-  return std::to_string(s.size()) + ":" + s;
-}
-
-Result<std::string> DecodeString(const std::string& text, std::size_t* pos) {
+Result<std::string_view> DecodeString(std::string_view text,
+                                      std::size_t* pos) {
   std::size_t colon = text.find(':', *pos);
-  if (colon == std::string::npos) {
+  if (colon == std::string_view::npos) {
     return Status::IoError("corrupt record: missing string length");
   }
   std::size_t len = 0;
@@ -83,153 +132,303 @@ Result<std::string> DecodeString(const std::string& text, std::size_t* pos) {
   if (colon + 1 + len > text.size()) {
     return Status::IoError("corrupt record: truncated string");
   }
-  std::string out = text.substr(colon + 1, len);
   *pos = colon + 1 + len;
-  return out;
+  return text.substr(colon + 1, len);
 }
 
-/// An object's or link's attributes sorted by name, the on-disk order
-/// (independent of the in-memory slot layout).
-template <typename Record>
-std::map<std::string, Value> Sorted(const Record& rec) {
-  std::map<std::string, Value> out;
-  ForEachAttribute(rec, [&out](const std::string& name, const Value& value) {
-    out.emplace(name, value);
-  });
-  return out;
-}
-
-void WriteAttributeDef(std::ostream& out, const AttributeDef& attr) {
-  out << " " << EncodeString(attr.name) << " " << static_cast<int>(attr.type)
-      << " " << EncodeString(attr.ref_class) << " "
-      << EncodeValue(attr.default_value);
-}
-
-Result<AttributeDef> ReadAttributeDef(const std::string& line,
-                                      std::size_t* pos) {
-  auto skip_space = [&] {
-    while (*pos < line.size() && line[*pos] == ' ') ++(*pos);
-  };
-  AttributeDef attr;
-  skip_space();
-  PROMETHEUS_ASSIGN_OR_RETURN(attr.name, DecodeString(line, pos));
-  skip_space();
-  std::size_t end = line.find(' ', *pos);
-  if (end == std::string::npos) {
-    return Status::IoError("corrupt record: attribute type");
+/// The element count of a list or struct value: "<count>:".
+Result<std::uint64_t> DecodeCount(std::string_view text, std::size_t* pos) {
+  std::size_t colon = text.find(':', *pos);
+  if (colon == std::string_view::npos) {
+    return Status::IoError("corrupt record: bad list length");
   }
-  PROMETHEUS_ASSIGN_OR_RETURN(std::int64_t type,
-                              ParseI64(line.substr(*pos, end - *pos)));
-  attr.type = static_cast<ValueType>(type);
-  *pos = end;
-  skip_space();
-  PROMETHEUS_ASSIGN_OR_RETURN(attr.ref_class, DecodeString(line, pos));
-  skip_space();
-  PROMETHEUS_ASSIGN_OR_RETURN(attr.default_value, DecodeValue(line, pos));
-  return attr;
+  PROMETHEUS_ASSIGN_OR_RETURN(
+      std::uint64_t count,
+      ParseNumber<std::uint64_t>(text.substr(*pos, colon - *pos)));
+  *pos = colon + 1;
+  return count;
 }
 
-struct LineCursor;
-Result<RelationshipSemantics> ReadSemantics(LineCursor* cur);
-
-/// Cursor helpers for reading a record line after its tag.
-struct LineCursor {
-  const std::string& line;
+/// Reads one record's fields. A record ends at a newline that is not part
+/// of a length-prefixed field, or at the end of the text.
+struct Cursor {
+  std::string_view text;
   std::size_t pos;
 
   void SkipSpace() {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
+    while (pos < text.size() && text[pos] == ' ') ++pos;
   }
-  std::string Word() {
+  bool AtRecordEnd() {
     SkipSpace();
-    std::size_t end = line.find(' ', pos);
-    if (end == std::string::npos) end = line.size();
-    std::string w = line.substr(pos, end - pos);
+    return pos >= text.size() || text[pos] == '\n';
+  }
+  std::string_view Word() {
+    SkipSpace();
+    std::size_t end = pos;
+    while (end < text.size() && text[end] != ' ' && text[end] != '\n') ++end;
+    std::string_view w = text.substr(pos, end - pos);
     pos = end;
     return w;
   }
-  Result<std::uint64_t> U64() { return ParseU64(Word()); }
-  Result<std::uint32_t> U32() {
-    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t v, U64());
-    if (v > 0xFFFFFFFFull) return Status::IoError("corrupt record: u32 range");
-    return static_cast<std::uint32_t>(v);
+  bool Flag() { return Word() == "1"; }
+  Result<std::uint64_t> U64() { return ParseNumber<std::uint64_t>(Word()); }
+  Result<std::uint32_t> U32() { return ParseNumber<std::uint32_t>(Word()); }
+  Result<std::string_view> View() {
+    SkipSpace();
+    return DecodeString(text, &pos);
   }
   Result<std::string> Str() {
-    SkipSpace();
-    return DecodeString(line, &pos);
+    PROMETHEUS_ASSIGN_OR_RETURN(std::string_view s, View());
+    return std::string(s);
   }
   Result<Value> Val() {
     SkipSpace();
-    return DecodeValue(line, &pos);
+    return DecodeValue(text, &pos);
   }
-  Result<std::vector<AttrInit>> Attrs(std::size_t count) {
+  /// "<count>" then `count` items, each read by `item`.
+  template <typename T, typename Fn>
+  Result<std::vector<T>> List(Fn item) {
+    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t count, U64());
+    std::vector<T> items;
+    items.reserve(count < kMaxReserve ? count : kMaxReserve);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      PROMETHEUS_ASSIGN_OR_RETURN(T v, item());
+      items.push_back(std::move(v));
+    }
+    return items;
+  }
+  Result<std::vector<std::string>> Names() {
+    return List<std::string>([this] { return Str(); });
+  }
+  /// With `build` false the attributes are only checked, not collected
+  /// (the loader's first pass).
+  Result<std::vector<AttrInit>> Attrs(bool build) {
+    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t count, U64());
     std::vector<AttrInit> attrs;
-    attrs.reserve(count < kMaxReserve ? count : kMaxReserve);
-    for (std::size_t i = 0; i < count; ++i) {
-      PROMETHEUS_ASSIGN_OR_RETURN(std::string name, Str());
+    if (build) attrs.reserve(count < kMaxReserve ? count : kMaxReserve);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      PROMETHEUS_ASSIGN_OR_RETURN(std::string_view name, View());
       PROMETHEUS_ASSIGN_OR_RETURN(Value v, Val());
-      attrs.emplace_back(std::move(name), std::move(v));
+      if (build) attrs.emplace_back(std::string(name), std::move(v));
     }
     return attrs;
   }
+  Result<std::vector<AttributeDef>> AttrDefs() {
+    return List<AttributeDef>([this]() -> Result<AttributeDef> {
+      AttributeDef attr;
+      PROMETHEUS_ASSIGN_OR_RETURN(attr.name, Str());
+      PROMETHEUS_ASSIGN_OR_RETURN(std::int64_t type,
+                                  ParseNumber<std::int64_t>(Word()));
+      attr.type = static_cast<ValueType>(type);
+      PROMETHEUS_ASSIGN_OR_RETURN(attr.ref_class, Str());
+      PROMETHEUS_ASSIGN_OR_RETURN(attr.default_value, Val());
+      return attr;
+    });
+  }
+  Result<std::vector<MethodDef>> Methods() {
+    return List<MethodDef>([this]() -> Result<MethodDef> {
+      MethodDef method;
+      PROMETHEUS_ASSIGN_OR_RETURN(method.name, Str());
+      PROMETHEUS_ASSIGN_OR_RETURN(method.return_type, Str());
+      using Param = std::pair<std::string, std::string>;
+      PROMETHEUS_ASSIGN_OR_RETURN(
+          method.parameters, List<Param>([this]() -> Result<Param> {
+            PROMETHEUS_ASSIGN_OR_RETURN(std::string type, Str());
+            PROMETHEUS_ASSIGN_OR_RETURN(std::string name, Str());
+            return Param(std::move(type), std::move(name));
+          }));
+      return method;
+    });
+  }
+  Result<RelationshipSemantics> Semantics() {
+    RelationshipSemantics sem;
+    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t kind, U64());
+    sem.kind = static_cast<RelationshipKind>(kind);
+    sem.exclusive = Flag();
+    PROMETHEUS_ASSIGN_OR_RETURN(sem.exclusivity_group, Str());
+    sem.shareable = Flag();
+    sem.lifetime_dependent = Flag();
+    sem.constant = Flag();
+    sem.inherit_attributes = Flag();
+    sem.directed = Flag();
+    PROMETHEUS_ASSIGN_OR_RETURN(sem.max_out, U32());
+    PROMETHEUS_ASSIGN_OR_RETURN(sem.max_in, U32());
+    PROMETHEUS_ASSIGN_OR_RETURN(sem.min_out, U32());
+    PROMETHEUS_ASSIGN_OR_RETURN(sem.min_in, U32());
+    return sem;
+  }
 };
 
-Result<RelationshipSemantics> ReadSemantics(LineCursor* cur) {
-  RelationshipSemantics sem;
-  PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t kind, cur->U64());
-  sem.kind = static_cast<RelationshipKind>(kind);
-  sem.exclusive = cur->Word() == "1";
-  PROMETHEUS_ASSIGN_OR_RETURN(sem.exclusivity_group, cur->Str());
-  sem.shareable = cur->Word() == "1";
-  sem.lifetime_dependent = cur->Word() == "1";
-  sem.constant = cur->Word() == "1";
-  sem.inherit_attributes = cur->Word() == "1";
-  sem.directed = cur->Word() == "1";
-  PROMETHEUS_ASSIGN_OR_RETURN(sem.max_out, cur->U32());
-  PROMETHEUS_ASSIGN_OR_RETURN(sem.max_in, cur->U32());
-  PROMETHEUS_ASSIGN_OR_RETURN(sem.min_out, cur->U32());
-  PROMETHEUS_ASSIGN_OR_RETURN(sem.min_in, cur->U32());
-  return sem;
+/// Parses the record at `cur->pos`, leaving the cursor at its end, and
+/// applies it to `db` — or, with a null `db`, only checks that it parses.
+Status ParseRecord(Database* db, Cursor* cur, bool* end) {
+  *end = false;
+  if (cur->AtRecordEnd()) return Status::Ok();  // blank line
+  const std::string_view tag = cur->Word();
+  if (tag == "END") {
+    *end = true;
+    return Status::Ok();
+  }
+  if (tag == "CLASS") {
+    PROMETHEUS_ASSIGN_OR_RETURN(std::string name, cur->Str());
+    const bool is_abstract = cur->Flag();
+    PROMETHEUS_ASSIGN_OR_RETURN(std::vector<std::string> supers,
+                                cur->Names());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::vector<AttributeDef> attrs,
+                                cur->AttrDefs());
+    // Method signatures (optional trailing section).
+    std::vector<MethodDef> methods;
+    if (!cur->AtRecordEnd()) {
+      PROMETHEUS_ASSIGN_OR_RETURN(methods, cur->Methods());
+    }
+    if (db == nullptr) return Status::Ok();
+    PROMETHEUS_RETURN_IF_ERROR(
+        db->DefineClass(name, supers, std::move(attrs), is_abstract)
+            .status());
+    for (MethodDef& method : methods) {
+      PROMETHEUS_RETURN_IF_ERROR(db->DefineMethod(name, std::move(method)));
+    }
+    return Status::Ok();
+  }
+  if (tag == "TMPL") {
+    PROMETHEUS_ASSIGN_OR_RETURN(std::string name, cur->Str());
+    PROMETHEUS_ASSIGN_OR_RETURN(RelationshipSemantics sem, cur->Semantics());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::vector<AttributeDef> attrs,
+                                cur->AttrDefs());
+    if (db == nullptr) return Status::Ok();
+    return db->DefineRelationshipTemplate(name, sem, std::move(attrs));
+  }
+  if (tag == "REL") {
+    PROMETHEUS_ASSIGN_OR_RETURN(std::string name, cur->Str());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::string src, cur->Str());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::string dst, cur->Str());
+    PROMETHEUS_ASSIGN_OR_RETURN(RelationshipSemantics sem, cur->Semantics());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::vector<std::string> supers,
+                                cur->Names());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::vector<AttributeDef> attrs,
+                                cur->AttrDefs());
+    if (db == nullptr) return Status::Ok();
+    return db->DefineRelationship(name, src, dst, sem, std::move(attrs),
+                                  supers)
+        .status();
+  }
+  if (tag == "OBJ") {
+    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur->U64());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::string_view cls, cur->View());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::vector<AttrInit> attrs,
+                                cur->Attrs(db != nullptr));
+    if (db == nullptr) return Status::Ok();
+    return db->RestoreObjectRaw(oid, std::string(cls), std::move(attrs));
+  }
+  if (tag == "LINK") {
+    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur->U64());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::string_view rel, cur->View());
+    PROMETHEUS_ASSIGN_OR_RETURN(Oid src, cur->U64());
+    PROMETHEUS_ASSIGN_OR_RETURN(Oid dst, cur->U64());
+    PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, cur->U64());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::vector<AttrInit> attrs,
+                                cur->Attrs(db != nullptr));
+    if (db == nullptr) return Status::Ok();
+    return db->RestoreLinkRaw(oid, std::string(rel), src, dst, ctx,
+                              std::move(attrs));
+  }
+  if (tag == "SYN") {
+    PROMETHEUS_ASSIGN_OR_RETURN(Oid child, cur->U64());
+    PROMETHEUS_ASSIGN_OR_RETURN(Oid parent, cur->U64());
+    if (db == nullptr) return Status::Ok();
+    return db->RestoreSynonymRaw(child, parent);
+  }
+  if (tag == "DELO" || tag == "DELL") {
+    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur->U64());
+    if (db == nullptr) return Status::Ok();
+    if (tag == "DELO") {
+      if (db->GetObject(oid) == nullptr) return Status::Ok();  // cascaded
+      return db->DeleteObject(oid);
+    }
+    if (db->GetLink(oid) == nullptr) return Status::Ok();  // cascaded
+    return db->DeleteLink(oid);
+  }
+  if (tag == "SETA" || tag == "SETL") {
+    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur->U64());
+    PROMETHEUS_ASSIGN_OR_RETURN(std::string name, cur->Str());
+    PROMETHEUS_ASSIGN_OR_RETURN(Value v, cur->Val());
+    if (db == nullptr) return Status::Ok();
+    return tag == "SETA" ? db->SetAttribute(oid, name, std::move(v))
+                         : db->SetLinkAttribute(oid, name, std::move(v));
+  }
+  return Status::IoError("unknown record '" + std::string(tag) + "'");
+}
+
+void AppendLine(std::string* buf, std::string_view record) {
+  buf->append(record);
+  *buf += '\n';
+}
+
+/// Magic line, every record as a line, END — in bounded chunks.
+Status WriteSnapshot(const Database& db, const ChunkSink& sink) {
+  std::string buf;
+  buf.reserve(kWriteChunkBytes + kWriteChunkBytes / 16);
+  buf.append(kMagic).append("\n");
+  PROMETHEUS_RETURN_IF_ERROR(StreamRecords(db, AppendLine, &buf, sink));
+  return sink(buf.append("END\n"));
+}
+
+/// The whole stream in one buffer, sized up front when the stream can
+/// seek (files, string streams).
+std::string ReadAll(std::istream& in) {
+  const std::istream::pos_type start = in.tellg();
+  if (start == std::istream::pos_type(-1) || !in.seekg(0, std::ios::end)) {
+    in.clear();
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  std::string text(static_cast<std::size_t>(in.tellg() - start), '\0');
+  in.seekg(start);
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  return text;
 }
 
 }  // namespace
 
-std::string EncodeValue(const Value& value) {
+void AppendValue(std::string* out, const Value& value) {
+  Writer w(out);
   switch (value.type()) {
     case ValueType::kNull:
-      return "n";
+      break;
     case ValueType::kBool:
-      return value.AsBool() ? "b1" : "b0";
+      w << 'b' << value.AsBool();
+      return;
     case ValueType::kInt:
-      return "i" + EncodeString(std::to_string(value.AsInt()));
-    case ValueType::kDouble: {
-      std::ostringstream os;
-      os.precision(17);
-      os << value.AsDouble();
-      return "d" + EncodeString(os.str());
-    }
+      w.Boxed('i', value.AsInt());
+      return;
+    case ValueType::kDouble:  // "%.17g": round-trips every double
+      w.Boxed('d', value.AsDouble(), std::chars_format::general, 17);
+      return;
     case ValueType::kString:
-      return "s" + EncodeString(value.AsString());
+      w << 's' << Str{value.AsString()};
+      return;
     case ValueType::kRef:
-      return "r" + EncodeString(std::to_string(value.AsRef()));
-    case ValueType::kList: {
-      std::string out = "l" + std::to_string(value.AsList().size()) + ":";
-      for (const Value& v : value.AsList()) out += EncodeValue(v);
-      return out;
-    }
-    case ValueType::kStruct: {
-      std::string out = "t" + std::to_string(value.AsStruct().size()) + ":";
-      for (const auto& [name, v] : value.AsStruct()) {
-        out += EncodeString(name);
-        out += EncodeValue(v);
-      }
-      return out;
-    }
+      w.Boxed('r', value.AsRef());
+      return;
+    case ValueType::kList:
+      w << 'l' << value.AsList().size() << ':';
+      for (const Value& v : value.AsList()) w << v;
+      return;
+    case ValueType::kStruct:
+      w << 't' << value.AsStruct().size() << ':';
+      for (const auto& [name, v] : value.AsStruct()) w << Str{name} << v;
+      return;
   }
-  return "n";
+  w << 'n';
 }
 
-Result<Value> DecodeValue(const std::string& text, std::size_t* pos) {
+std::string EncodeValue(const Value& value) {
+  std::string out;
+  AppendValue(&out, value);
+  return out;
+}
+
+Result<Value> DecodeValue(std::string_view text, std::size_t* pos) {
   if (*pos >= text.size()) {
     return Status::IoError("corrupt record: truncated value");
   }
@@ -245,32 +444,28 @@ Result<Value> DecodeValue(const std::string& text, std::size_t* pos) {
       return Value::Bool(b == '1');
     }
     case 'i': {
-      PROMETHEUS_ASSIGN_OR_RETURN(std::string s, DecodeString(text, pos));
-      PROMETHEUS_ASSIGN_OR_RETURN(std::int64_t v, ParseI64(s));
+      PROMETHEUS_ASSIGN_OR_RETURN(std::string_view s, DecodeString(text, pos));
+      PROMETHEUS_ASSIGN_OR_RETURN(std::int64_t v,
+                                  ParseNumber<std::int64_t>(s));
       return Value::Int(v);
     }
     case 'd': {
-      PROMETHEUS_ASSIGN_OR_RETURN(std::string s, DecodeString(text, pos));
-      PROMETHEUS_ASSIGN_OR_RETURN(double v, ParseDouble(s));
+      PROMETHEUS_ASSIGN_OR_RETURN(std::string_view s, DecodeString(text, pos));
+      PROMETHEUS_ASSIGN_OR_RETURN(double v, ParseNumber<double>(s));
       return Value::Double(v);
     }
     case 's': {
-      PROMETHEUS_ASSIGN_OR_RETURN(std::string s, DecodeString(text, pos));
-      return Value::String(std::move(s));
+      PROMETHEUS_ASSIGN_OR_RETURN(std::string_view s, DecodeString(text, pos));
+      return Value::String(std::string(s));
     }
     case 'r': {
-      PROMETHEUS_ASSIGN_OR_RETURN(std::string s, DecodeString(text, pos));
-      PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t v, ParseU64(s));
+      PROMETHEUS_ASSIGN_OR_RETURN(std::string_view s, DecodeString(text, pos));
+      PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t v,
+                                  ParseNumber<std::uint64_t>(s));
       return Value::Ref(v);
     }
     case 'l': {
-      std::size_t colon = text.find(':', *pos);
-      if (colon == std::string::npos) {
-        return Status::IoError("corrupt record: bad list length");
-      }
-      PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t count,
-                                  ParseU64(text.substr(*pos, colon - *pos)));
-      *pos = colon + 1;
+      PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t count, DecodeCount(text, pos));
       Value::List items;
       items.reserve(count < kMaxReserve ? count : kMaxReserve);
       for (std::size_t i = 0; i < count; ++i) {
@@ -280,19 +475,14 @@ Result<Value> DecodeValue(const std::string& text, std::size_t* pos) {
       return Value::MakeList(std::move(items));
     }
     case 't': {
-      std::size_t colon = text.find(':', *pos);
-      if (colon == std::string::npos) {
-        return Status::IoError("corrupt record: bad struct length");
-      }
-      PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t count,
-                                  ParseU64(text.substr(*pos, colon - *pos)));
-      *pos = colon + 1;
+      PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t count, DecodeCount(text, pos));
       Value::Struct fields;
       fields.reserve(count < kMaxReserve ? count : kMaxReserve);
       for (std::size_t i = 0; i < count; ++i) {
-        PROMETHEUS_ASSIGN_OR_RETURN(std::string name, DecodeString(text, pos));
+        PROMETHEUS_ASSIGN_OR_RETURN(std::string_view name,
+                                    DecodeString(text, pos));
         PROMETHEUS_ASSIGN_OR_RETURN(Value v, DecodeValue(text, pos));
-        fields.emplace_back(std::move(name), std::move(v));
+        fields.emplace_back(std::string(name), std::move(v));
       }
       return Value::MakeStruct(std::move(fields));
     }
@@ -301,74 +491,50 @@ Result<Value> DecodeValue(const std::string& text, std::size_t* pos) {
   }
 }
 
-namespace {
-
-void WriteSemantics(std::ostream& out, const RelationshipSemantics& sem) {
-  out << static_cast<int>(sem.kind) << " " << (sem.exclusive ? 1 : 0) << " "
-      << EncodeString(sem.exclusivity_group) << " " << (sem.shareable ? 1 : 0)
-      << " " << (sem.lifetime_dependent ? 1 : 0) << " "
-      << (sem.constant ? 1 : 0) << " " << (sem.inherit_attributes ? 1 : 0)
-      << " " << (sem.directed ? 1 : 0) << " " << sem.max_out << " "
-      << sem.max_in << " " << sem.min_out << " " << sem.min_in;
-}
-
-}  // namespace
-
 std::string ClassRecord(const Database& db, const std::string& name) {
   const ClassDef* cls = db.FindClass(name);
   if (cls == nullptr) return "";
-  std::ostringstream out;
-  out << "CLASS " << EncodeString(cls->name()) << " "
-      << (cls->is_abstract() ? 1 : 0) << " " << cls->supers().size();
-  for (const ClassDef* s : cls->supers()) {
-    out << " " << EncodeString(s->name());
-  }
-  out << " " << cls->attributes().size();
-  for (const AttributeDef& a : cls->attributes()) {
-    WriteAttributeDef(out, a);
-  }
-  out << " " << cls->methods().size();
+  std::string out;
+  Writer w(&out);
+  w << "CLASS " << Str{cls->name()} << ' ' << cls->is_abstract() << ' '
+    << cls->supers().size();
+  for (const ClassDef* s : cls->supers()) w << ' ' << Str{s->name()};
+  WriteAttributeDefs(w, cls->attributes());
+  w << ' ' << cls->methods().size();
   for (const MethodDef& m : cls->methods()) {
-    out << " " << EncodeString(m.name) << " "
-        << EncodeString(m.return_type) << " " << m.parameters.size();
+    w << ' ' << Str{m.name} << ' ' << Str{m.return_type} << ' '
+      << m.parameters.size();
     for (const auto& [type, pname] : m.parameters) {
-      out << " " << EncodeString(type) << " " << EncodeString(pname);
+      w << ' ' << Str{type} << ' ' << Str{pname};
     }
   }
-  return out.str();
+  return out;
 }
 
 std::string TemplateRecord(const Database& db, const std::string& name) {
   const RelationshipSemantics* sem = db.FindTemplateSemantics(name);
   const std::vector<AttributeDef>* attrs = db.FindTemplateAttributes(name);
   if (sem == nullptr || attrs == nullptr) return "";
-  std::ostringstream out;
-  out << "TMPL " << EncodeString(name) << " ";
-  WriteSemantics(out, *sem);
-  out << " " << attrs->size();
-  for (const AttributeDef& a : *attrs) {
-    WriteAttributeDef(out, a);
-  }
-  return out.str();
+  std::string out;
+  Writer w(&out);
+  w << "TMPL " << Str{name} << ' ';
+  WriteSemantics(w, *sem);
+  WriteAttributeDefs(w, *attrs);
+  return out;
 }
 
 std::string RelationshipRecord(const Database& db, const std::string& name) {
   const RelationshipDef* rel = db.FindRelationship(name);
   if (rel == nullptr) return "";
-  std::ostringstream out;
-  out << "REL " << EncodeString(rel->name()) << " "
-      << EncodeString(rel->source_class()->name()) << " "
-      << EncodeString(rel->target_class()->name()) << " ";
-  WriteSemantics(out, rel->semantics());
-  out << " " << rel->supers().size();
-  for (const RelationshipDef* s : rel->supers()) {
-    out << " " << EncodeString(s->name());
-  }
-  out << " " << rel->attributes().size();
-  for (const AttributeDef& a : rel->attributes()) {
-    WriteAttributeDef(out, a);
-  }
-  return out.str();
+  std::string out;
+  Writer w(&out);
+  w << "REL " << Str{rel->name()} << ' ' << Str{rel->source_class()->name()}
+    << ' ' << Str{rel->target_class()->name()} << ' ';
+  WriteSemantics(w, rel->semantics());
+  w << ' ' << rel->supers().size();
+  for (const RelationshipDef* s : rel->supers()) w << ' ' << Str{s->name()};
+  WriteAttributeDefs(w, rel->attributes());
+  return out;
 }
 
 std::vector<std::string> SchemaRecords(const Database& db) {
@@ -386,217 +552,107 @@ std::vector<std::string> SchemaRecords(const Database& db) {
   return records;
 }
 
-Status WriteSchemaRecords(const Database& db, std::ostream& out) {
-  for (const std::string& record : SchemaRecords(db)) {
-    out << record << "\n";
-  }
-  if (!out.good()) return Status::IoError("write failure");
-  return Status::Ok();
+void AppendObjectRecord(std::string* out, const Database& db, Oid oid) {
+  const Object* obj = db.GetObject(oid);
+  if (obj == nullptr) return;
+  Writer w(out);
+  w << "OBJ " << oid << ' ' << Str{obj->cls->name()};
+  WriteSortedAttributes(w, obj->cls->slots(), obj->attrs);
+}
+
+void AppendLinkRecord(std::string* out, const Database& db, Oid oid) {
+  const Link* link = db.GetLink(oid);
+  if (link == nullptr) return;
+  Writer w(out);
+  w << "LINK " << oid << ' ' << Str{link->def->name()} << ' ' << link->source
+    << ' ' << link->target << ' ' << link->context;
+  WriteSortedAttributes(w, link->def->slots(), link->attrs);
 }
 
 std::string ObjectRecord(const Database& db, Oid oid) {
-  const Object* obj = db.GetObject(oid);
-  if (obj == nullptr) return "";
-  std::ostringstream out;
-  out << "OBJ " << oid << " " << EncodeString(obj->cls->name()) << " "
-      << obj->attrs.size();
-  for (const auto& [name, value] : Sorted(*obj)) {
-    out << " " << EncodeString(name) << " " << EncodeValue(value);
-  }
-  return out.str();
+  std::string out;
+  AppendObjectRecord(&out, db, oid);
+  return out;
 }
 
 std::string LinkRecord(const Database& db, Oid oid) {
-  const Link* link = db.GetLink(oid);
-  if (link == nullptr) return "";
-  std::ostringstream out;
-  out << "LINK " << oid << " " << EncodeString(link->def->name()) << " "
-      << link->source << " " << link->target << " " << link->context << " "
-      << link->attrs.size();
-  for (const auto& [name, value] : Sorted(*link)) {
-    out << " " << EncodeString(name) << " " << EncodeValue(value);
-  }
-  return out.str();
+  std::string out;
+  AppendLinkRecord(&out, db, oid);
+  return out;
 }
 
-Status ApplyRecord(Database* db, const std::string& line, bool* end) {
-  *end = false;
-  if (line.empty()) return Status::Ok();
-  std::size_t space = line.find(' ');
-  std::string tag = space == std::string::npos ? line : line.substr(0, space);
-  LineCursor cur{line, space == std::string::npos ? line.size() : space};
-  if (tag == "END") {
-    *end = true;
-    return Status::Ok();
-  }
-  if (tag == "CLASS") {
-    PROMETHEUS_ASSIGN_OR_RETURN(std::string name, cur.Str());
-    bool is_abstract = cur.Word() == "1";
-    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t nsupers, cur.U64());
-    std::vector<std::string> supers;
-    supers.reserve(nsupers < kMaxReserve ? nsupers : kMaxReserve);
-    for (std::size_t i = 0; i < nsupers; ++i) {
-      PROMETHEUS_ASSIGN_OR_RETURN(std::string s, cur.Str());
-      supers.push_back(std::move(s));
-    }
-    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t nattrs, cur.U64());
-    std::vector<AttributeDef> attrs;
-    attrs.reserve(nattrs < kMaxReserve ? nattrs : kMaxReserve);
-    for (std::size_t i = 0; i < nattrs; ++i) {
-      PROMETHEUS_ASSIGN_OR_RETURN(AttributeDef a,
-                                  ReadAttributeDef(line, &cur.pos));
-      attrs.push_back(std::move(a));
-    }
-    PROMETHEUS_RETURN_IF_ERROR(
-        db->DefineClass(name, supers, std::move(attrs), is_abstract)
-            .status());
-    // Method signatures (optional trailing section).
-    cur.SkipSpace();
-    if (cur.pos < line.size()) {
-      PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t nmethods, cur.U64());
-      for (std::size_t i = 0; i < nmethods; ++i) {
-        MethodDef method;
-        PROMETHEUS_ASSIGN_OR_RETURN(method.name, cur.Str());
-        PROMETHEUS_ASSIGN_OR_RETURN(method.return_type, cur.Str());
-        PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t nparams, cur.U64());
-        for (std::size_t p = 0; p < nparams; ++p) {
-          PROMETHEUS_ASSIGN_OR_RETURN(std::string type, cur.Str());
-          PROMETHEUS_ASSIGN_OR_RETURN(std::string pname, cur.Str());
-          method.parameters.emplace_back(std::move(type), std::move(pname));
-        }
-        PROMETHEUS_RETURN_IF_ERROR(db->DefineMethod(name, std::move(method)));
-      }
-    }
-    return Status::Ok();
-  }
-  if (tag == "TMPL") {
-    PROMETHEUS_ASSIGN_OR_RETURN(std::string name, cur.Str());
-    PROMETHEUS_ASSIGN_OR_RETURN(RelationshipSemantics sem,
-                                ReadSemantics(&cur));
-    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t nattrs, cur.U64());
-    std::vector<AttributeDef> attrs;
-    attrs.reserve(nattrs < kMaxReserve ? nattrs : kMaxReserve);
-    for (std::size_t i = 0; i < nattrs; ++i) {
-      PROMETHEUS_ASSIGN_OR_RETURN(AttributeDef a,
-                                  ReadAttributeDef(line, &cur.pos));
-      attrs.push_back(std::move(a));
-    }
-    return db->DefineRelationshipTemplate(name, sem, std::move(attrs));
-  }
-  if (tag == "REL") {
-    PROMETHEUS_ASSIGN_OR_RETURN(std::string name, cur.Str());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::string src, cur.Str());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::string dst, cur.Str());
-    PROMETHEUS_ASSIGN_OR_RETURN(RelationshipSemantics sem,
-                                ReadSemantics(&cur));
-    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t nsupers, cur.U64());
-    std::vector<std::string> supers;
-    supers.reserve(nsupers < kMaxReserve ? nsupers : kMaxReserve);
-    for (std::size_t i = 0; i < nsupers; ++i) {
-      PROMETHEUS_ASSIGN_OR_RETURN(std::string s, cur.Str());
-      supers.push_back(std::move(s));
-    }
-    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t nattrs, cur.U64());
-    std::vector<AttributeDef> attrs;
-    attrs.reserve(nattrs < kMaxReserve ? nattrs : kMaxReserve);
-    for (std::size_t i = 0; i < nattrs; ++i) {
-      PROMETHEUS_ASSIGN_OR_RETURN(AttributeDef a,
-                                  ReadAttributeDef(line, &cur.pos));
-      attrs.push_back(std::move(a));
-    }
-    return db->DefineRelationship(name, src, dst, sem, std::move(attrs),
-                                  supers)
-        .status();
-  }
-  if (tag == "OBJ") {
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::string cls, cur.Str());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t nattrs, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::vector<AttrInit> attrs,
-                                cur.Attrs(nattrs));
-    return db->RestoreObjectRaw(oid, cls, std::move(attrs));
-  }
-  if (tag == "LINK") {
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::string rel, cur.Str());
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid src, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid dst, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::uint64_t nattrs, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::vector<AttrInit> attrs,
-                                cur.Attrs(nattrs));
-    return db->RestoreLinkRaw(oid, rel, src, dst, ctx, std::move(attrs));
-  }
-  if (tag == "SYN") {
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid child, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid parent, cur.U64());
-    return db->RestoreSynonymRaw(child, parent);
-  }
-  if (tag == "DELO") {
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur.U64());
-    if (db->GetObject(oid) == nullptr) return Status::Ok();  // cascaded
-    return db->DeleteObject(oid);
-  }
-  if (tag == "DELL") {
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur.U64());
-    if (db->GetLink(oid) == nullptr) return Status::Ok();  // cascaded
-    return db->DeleteLink(oid);
-  }
-  if (tag == "SETA") {
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::string name, cur.Str());
-    PROMETHEUS_ASSIGN_OR_RETURN(Value v, cur.Val());
-    return db->SetAttribute(oid, name, std::move(v));
-  }
-  if (tag == "SETL") {
-    PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, cur.U64());
-    PROMETHEUS_ASSIGN_OR_RETURN(std::string name, cur.Str());
-    PROMETHEUS_ASSIGN_OR_RETURN(Value v, cur.Val());
-    return db->SetLinkAttribute(oid, name, std::move(v));
-  }
-  return Status::IoError("unknown record '" + tag + "'");
+std::string SetRecord(std::string_view tag, Oid oid, std::string_view name,
+                      const Value& value) {
+  std::string out(tag);
+  Writer(&out) << ' ' << oid << ' ' << Str{name} << ' ' << value;
+  return out;
 }
 
-Status SaveSnapshot(const Database& db, std::ostream& out) {
-  out << kMagic << "\n";
-  PROMETHEUS_RETURN_IF_ERROR(WriteSchemaRecords(db, out));
-  // Objects first (contexts are objects, so link records resolve), then
-  // links, then synonym edges.
-  for (const ClassDef* cls : db.classes()) {
+Status ApplyRecord(Database* db, std::string_view record, bool* end) {
+  Cursor cur{record, 0};
+  return ParseRecord(db, &cur, end);
+}
+
+Status StreamRecords(const Database& db, RecordFramer frame, std::string* buf,
+                     const ChunkSink& sink) {
+  std::string record;
+  auto emit = [&]() -> Status {
+    frame(buf, record);
+    record.clear();
+    if (buf->size() < kWriteChunkBytes) return Status::Ok();
+    Status st = sink(*buf);
+    buf->clear();
+    return st;
+  };
+  for (std::string& schema : SchemaRecords(db)) {
+    record = std::move(schema);
+    PROMETHEUS_RETURN_IF_ERROR(emit());
+  }
+  const std::vector<const ClassDef*> classes = db.classes();
+  for (const ClassDef* cls : classes) {
     for (Oid oid : db.Extent(cls->name(), /*include_subclasses=*/false)) {
-      out << ObjectRecord(db, oid) << "\n";
+      AppendObjectRecord(&record, db, oid);
+      PROMETHEUS_RETURN_IF_ERROR(emit());
     }
   }
-  if (!out.good()) return Status::IoError("write failure");
   for (const RelationshipDef* rel : db.relationships()) {
     for (Oid oid :
          db.LinkExtent(rel->name(), /*include_subrelationships=*/false)) {
-      out << LinkRecord(db, oid) << "\n";
+      AppendLinkRecord(&record, db, oid);
+      PROMETHEUS_RETURN_IF_ERROR(emit());
     }
   }
-  for (const ClassDef* cls : db.classes()) {
+  for (const ClassDef* cls : classes) {
     for (Oid oid : db.Extent(cls->name(), /*include_subclasses=*/false)) {
-      Oid root = db.CanonicalOf(oid);
-      if (root != oid) out << "SYN " << oid << " " << root << "\n";
+      const Oid root = db.CanonicalOf(oid);
+      if (root == oid) continue;
+      Writer(&record) << "SYN " << oid << ' ' << root;
+      PROMETHEUS_RETURN_IF_ERROR(emit());
     }
   }
-  out << "END\n";
-  out.flush();
-  if (!out.good()) return Status::IoError("write failure");
   return Status::Ok();
+}
+
+Status SaveSnapshot(const Database& db, std::ostream& out) {
+  PROMETHEUS_RETURN_IF_ERROR(WriteSnapshot(db, [&out](std::string_view chunk) {
+    out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    return out.good() ? Status::Ok() : Status::IoError("write failure");
+  }));
+  out.flush();
+  return out.good() ? Status::Ok() : Status::IoError("write failure");
 }
 
 Status SaveSnapshot(const Database& db, const std::string& path, Env* env) {
   if (env == nullptr) env = Env::Default();
-  // Stage the full snapshot in memory, then write-to-temp + fsync + rename
-  // so a crash at any point leaves an existing snapshot at `path` intact.
-  std::ostringstream buffer;
-  PROMETHEUS_RETURN_IF_ERROR(SaveSnapshot(db, buffer));
+  // Write-to-temp + fsync + rename, so a crash at any point leaves an
+  // existing snapshot at `path` intact.
   const std::string tmp = path + ".tmp";
   {
     PROMETHEUS_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
                                 env->NewWritableFile(tmp, /*truncate=*/true));
-    Status st = file->Append(buffer.str());
+    Status st = WriteSnapshot(db, [&file](std::string_view chunk) {
+      return file->Append(chunk);
+    });
     if (st.ok()) st = file->Sync();
     Status close = file->Close();
     if (st.ok()) st = close;
@@ -626,30 +682,33 @@ Status LoadSnapshot(Database* db, std::istream& in) {
     return Status::FailedPrecondition(
         "snapshots load into an empty database");
   }
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
+  const std::string text = ReadAll(in);
+  const std::string_view magic(kMagic);
+  if (text.compare(0, magic.size(), magic) != 0 ||
+      text.size() <= magic.size() || text[magic.size()] != '\n') {
     return Status::IoError("not a Prometheus snapshot");
   }
-  // Read the whole stream first and require the END record *before*
-  // applying anything: a truncated snapshot must leave `db` untouched.
-  std::vector<std::string> lines;
-  bool saw_end = false;
-  while (!saw_end && std::getline(in, line)) {
-    if (line == "END") saw_end = true;
-    lines.push_back(std::move(line));
-  }
-  if (!saw_end) return Status::IoError("truncated snapshot (no END record)");
-  bool end = false;
-  for (const std::string& record : lines) {
-    Status st = ApplyRecord(db, record, &end);
-    if (!st.ok()) {
+  // Pass one (no database) parses every record through to END, pass two
+  // applies them: a truncated or malformed snapshot leaves `db` untouched.
+  // Records are split by their length-prefixed fields, never by lines, so
+  // string values may hold newlines.
+  for (Database* target : {static_cast<Database*>(nullptr), db}) {
+    bool end = false;
+    for (Cursor cur{text, magic.size() + 1}; !end; ++cur.pos) {
+      if (cur.pos >= text.size()) {
+        return Status::IoError("truncated snapshot (no END record)");
+      }
+      Status st = ParseRecord(target, &cur, &end);
+      if (st.ok() && !cur.AtRecordEnd()) {
+        st = Status::IoError("corrupt record: trailing bytes");
+      }
+      if (st.ok()) continue;
       // Surface every corruption as kIoError; the message keeps the
       // underlying cause. The database may hold a partial prefix — callers
       // that need atomicity load into a scratch database (DurableStore does).
       if (st.code() == Status::Code::kIoError) return st;
       return Status::IoError("corrupt snapshot record: " + st.ToString());
     }
-    if (end) break;
   }
   return Status::Ok();
 }

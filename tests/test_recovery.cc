@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "storage/fault.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
@@ -736,6 +737,136 @@ TEST(CorruptionMatrixTest, SnapshotByteFlipsNeverCrashLoad) {
     EXPECT_TRUE(st.ok() || st.code() == Status::Code::kIoError)
         << "byte " << i << ": " << st.ToString();
   }
+}
+
+// ------------------------------------------------- chunk-boundary crashes
+
+/// A store whose snapshot and journal prologue span several write chunks:
+/// the suite schema plus ~3 MiB of bootstrap objects.
+Status BulkyBootstrap(Database* db) {
+  PROMETHEUS_RETURN_IF_ERROR(Bootstrap(db));
+  const std::string filler(1024, 'x');
+  for (int i = 0; i < 3000; ++i) {
+    auto obj = db->CreateObject(
+        "Taxon", {{"name", Value::String(filler + std::to_string(i))},
+                  {"year", Value::Int(i)}});
+    if (!obj.ok()) return obj.status();
+  }
+  return Status::Ok();
+}
+
+DurableStore::Options BulkyOptions(Env* env = nullptr) {
+  DurableStore::Options options = StoreOptions(env);
+  options.bootstrap = BulkyBootstrap;
+  return options;
+}
+
+TEST(ChunkCrashMatrixTest, CheckpointCrashInAnyChunkKeepsTheJournal) {
+  std::uint64_t image = 0;
+  {
+    Database db;
+    ASSERT_TRUE(BulkyBootstrap(&db).ok());
+    std::ostringstream out;
+    ASSERT_TRUE(SaveSnapshot(db, out).ok());
+    image = out.str().size();
+  }
+  ASSERT_GT(image, 2 * kWriteChunkBytes);  // three chunks or more
+  FaultInjectionEnv fenv;
+  // The first, a middle and the last chunk of the snapshot write.
+  for (std::uint64_t offset : {std::uint64_t{100}, image / 2, image - 100}) {
+    SCOPED_TRACE("checkpoint crash at byte " + std::to_string(offset));
+    const std::string dir = FreshDir("chunk_ckpt");
+    fenv.SetPolicy(FaultPolicy());
+    std::string fp;
+    {
+      auto store = DurableStore::Open(dir, BulkyOptions(&fenv));
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      std::vector<Oid> pool;
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_TRUE(DoStep(&store.value()->db(), i, &pool).ok());
+      }
+      fp = Fingerprint(store.value()->db());
+      FaultPolicy policy;
+      policy.fail_after_bytes = static_cast<std::int64_t>(offset);
+      fenv.SetPolicy(policy);
+      EXPECT_FALSE(store.value()->Checkpoint().ok());
+      EXPECT_TRUE(fenv.crashed());
+    }
+    auto recovered = DurableStore::Open(dir, BulkyOptions());
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered.value()->generation(), 0u);
+    // Compared as booleans: a failure would print megabytes of state.
+    EXPECT_TRUE(Fingerprint(recovered.value()->db()) == fp);
+    for (const std::string& name : DirEntries(dir)) {
+      EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
+    }
+    EXPECT_TRUE(recovered.value()->Checkpoint().ok());
+  }
+}
+
+TEST(ChunkCrashMatrixTest, BootstrapPrologueCrashAtAnyOffsetStartsOver) {
+  std::uint64_t prologue = 0;
+  std::string fp;
+  {
+    FaultInjectionEnv probe;
+    auto store = DurableStore::Open(FreshDir("chunk_probe"),
+                                    BulkyOptions(&probe));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    prologue = probe.bytes_written();
+    fp = Fingerprint(store.value()->db());
+    // The prologue goes out in write chunks, not one append per record.
+    EXPECT_LE(probe.appends_seen(), prologue / kWriteChunkBytes + 1);
+  }
+  ASSERT_GT(prologue, 2 * kWriteChunkBytes);
+  FaultInjectionEnv fenv;
+  for (std::uint64_t offset :
+       {std::uint64_t{10}, kWriteChunkBytes - 1, kWriteChunkBytes + 100,
+        prologue / 2, prologue - 10}) {
+    SCOPED_TRACE("prologue crash at byte " + std::to_string(offset));
+    const std::string dir = FreshDir("chunk_prologue");
+    FaultPolicy policy;
+    policy.fail_after_bytes = static_cast<std::int64_t>(offset);
+    fenv.SetPolicy(policy);
+    EXPECT_FALSE(DurableStore::Open(dir, BulkyOptions(&fenv)).ok());
+    EXPECT_TRUE(fenv.crashed());
+    std::string after;
+    {
+      auto recovered = DurableStore::Open(dir, BulkyOptions());
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      EXPECT_TRUE(Fingerprint(recovered.value()->db()) == fp);
+      // The recovered store is live: a mutation survives the next reopen.
+      ASSERT_TRUE(recovered.value()->db().CreateObject("Taxon").ok());
+      after = Fingerprint(recovered.value()->db());
+    }
+    auto reopened = DurableStore::Open(dir, BulkyOptions());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE(Fingerprint(reopened.value()->db()) == after);
+  }
+}
+
+// ------------------------------------------------------------ observability
+
+TEST(DurableStoreTest, CheckpointRecordsLatencyAndSnapshotSize) {
+  obs::Histogram* micros = obs::Registry().GetHistogram(
+      "store_checkpoint_micros");
+  obs::Gauge* bytes = obs::Registry().GetGauge("store_snapshot_bytes");
+  const std::string dir = FreshDir("ckpt_metrics");
+  auto store = DurableStore::Open(dir, StoreOptions());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::vector<Oid> pool;
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(DoStep(&store.value()->db(), i, &pool).ok());
+  }
+  const std::uint64_t before = micros->snapshot().count;
+  ASSERT_TRUE(store.value()->Checkpoint().ok());
+  EXPECT_EQ(micros->snapshot().count, before + 1);
+  const std::string snapshot =
+      dir + "/" + SnapshotFileName(store.value()->generation());
+  EXPECT_EQ(bytes->value(),
+            static_cast<std::int64_t>(fs::file_size(snapshot)));
+  const std::string text = obs::Registry().RenderPrometheusText();
+  EXPECT_NE(text.find("store_checkpoint_micros_count"), std::string::npos);
+  EXPECT_NE(text.find("store_snapshot_bytes"), std::string::npos);
 }
 
 }  // namespace
