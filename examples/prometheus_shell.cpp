@@ -16,10 +16,11 @@
 //                                                      (read replica)
 //
 // With --listen the shell also mounts the remote telemetry plane
-// (src/net/): GET /metrics /stats /health /slowlog /debug/requests and
-// POST /query /profile on the given port, serving concurrently with the
-// console. --serve skips the console loop entirely and serves until
-// SIGINT/SIGTERM — the mode the CI smoke job and a scrape target use.
+// (src/net/): GET /metrics /stats /health /slowlog /debug/requests
+// /debug/contention and POST /query /profile on the given port, serving
+// concurrently with the console. --serve skips the console loop entirely
+// and serves until SIGINT/SIGTERM — the mode the CI smoke job and a scrape
+// target use.
 //
 // A durable leader with --listen additionally serves /repl/* (manifest,
 // snapshot and journal bytes), so another shell started with
@@ -41,24 +42,31 @@
 //   .save <file> / .load <file>
 //   .demo                    load a small demonstration taxonomy
 //   .health                  overload/degradation summary (server-side)
-//   .recent                  flight recorder: last completed requests
+//   .recent                  flight recorder: last completed requests,
+//                            newest first (sys.requests)
 //   .contention [window]     wait-state breakdown: where request time goes
 //                            (queue, guard, execute, journal, ...); with
-//                            `window`, deltas since the last windowed call
+//                            `window`, deltas since the last windowed read
+//                            (sys.contention / sys.contention_window)
 //   .cache [stats|clear|off|on]
 //                            query-cache administration (plan + result
-//                            tiers); works on followers and degraded
-//                            servers alike
+//                            tiers), then its stats (sys.cache); works on
+//                            followers and degraded servers alike
+//   .sys                     the system catalog's classes
 //   .checkpoint              snapshot + journal rotation; re-arms a
 //                            degraded store (durable mode)
 //   .deadline <ms>           deadline applied to subsequent queries
 //                            (0 = none)
-//   .lag                     replication progress (follower mode)
+//   .lag                     replication progress (follower mode;
+//                            sys.replication)
 //   .promote                 follower -> standalone writable leader
 //   .quit
 // Anything else is run as a POOL query, e.g.:
 //   select t.name from Taxon t where t.rank = 'Genus'
 // Prefix a query with `profile` to also print its per-stage span tree.
+// The introspection commands (.recent, .contention, .cache, .lag) are fixed
+// queries over the sys.* catalog, run off the work queue through
+// Server::QueryCatalog, so they answer even when the server is saturated.
 
 #include <csignal>
 
@@ -73,7 +81,6 @@
 
 #include "index/index_manager.h"
 #include "net/http_server.h"
-#include "obs/wait_profiler.h"
 #include "query/query_engine.h"
 #include "replication/follower.h"
 #include "replication/source.h"
@@ -181,21 +188,14 @@ bool ExplainTransport(server::Client& client, const server::Response& resp) {
   return false;
 }
 
-void PrintRecent(const obs::FlightRecorder& recorder) {
-  const std::vector<obs::FlightRecorder::Entry> entries = recorder.Snapshot();
-  if (!recorder.enabled()) {
-    std::printf("flight recorder disabled (capacity 0)\n");
+/// Runs one of the shell's fixed introspection queries and prints its rows.
+void PrintCatalog(server::Server& server, const std::string& query) {
+  const server::Response resp = server.QueryCatalog(query);
+  if (!resp.status.ok()) {
+    std::printf("error: %s\n", resp.status.ToString().c_str());
     return;
   }
-  for (const auto& e : entries) {
-    std::printf("#%-6llu %-9s %-7s %-11s wait %8.0fus  total %8.0fus  %s\n",
-                static_cast<unsigned long long>(e.request_id),
-                e.type.c_str(), e.priority.c_str(), e.code.c_str(),
-                e.queue_wait_micros, e.total_micros, e.detail.c_str());
-  }
-  std::printf("(%zu of the last %llu recorded requests retained)\n",
-              entries.size(),
-              static_cast<unsigned long long>(recorder.recorded_total()));
+  PrintResultSet(resp.result);
 }
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -445,6 +445,9 @@ int main(int argc, char** argv) {
       std::istringstream in(line);
       std::string cmd;
       in >> cmd;
+      // The text after the command token ("" when there is none).
+      const std::size_t arg = line.find_first_not_of(" \t", cmd.size());
+      const std::string rest = arg == std::string::npos ? "" : line.substr(arg);
       if (cmd == ".quit" || cmd == ".exit") break;
       if (cmd == ".help") {
         std::printf(
@@ -486,9 +489,8 @@ int main(int argc, char** argv) {
           return Status::Ok();
         });
       } else if (cmd == ".explain") {
-        std::string q = line.substr(9);
         with_db_read([&](Database&) {
-          auto plan = engine->Explain(q);
+          auto plan = engine->Explain(rest);
           std::printf("%s", plan.ok() ? plan.value().c_str()
                                       : (plan.status().ToString() + "\n")
                                             .c_str());
@@ -500,9 +502,8 @@ int main(int argc, char** argv) {
                       "(.promote first)\n");
           continue;
         }
-        std::string pcl = line.substr(5);
         with_db([&](Database&) {
-          auto installed = InstallPcl(rules.get(), pcl);
+          auto installed = InstallPcl(rules.get(), rest);
           std::printf("%s\n", installed.ok()
                                   ? "rule installed"
                                   : installed.status().ToString().c_str());
@@ -539,12 +540,18 @@ int main(int argc, char** argv) {
       } else if (cmd == ".health") {
         PrintHealth(client->HealthInfo());
       } else if (cmd == ".recent") {
-        PrintRecent(server->flight_recorder());
+        PrintCatalog(*server,
+                     "select r.seq as seq, r.request_id as id, r.type as "
+                     "type, r.priority as priority, r.code as code, "
+                     "r.queue_wait_micros as wait_us, r.total_micros as "
+                     "total_us, r.detail as detail from sys.requests r "
+                     "order by r.seq desc");
       } else if (cmd == ".contention") {
         std::string sub;
         in >> sub;
-        std::printf("%s",
-                    obs::RenderContentionText(sub == "window").c_str());
+        PrintCatalog(*server, server->system_catalog().SelectAll(
+                                  sub == "window" ? "sys.contention_window"
+                                                  : "sys.contention"));
       } else if (cmd == ".sys") {
         // The system catalog's own listing; every class is queryable as an
         // ordinary POOL range (`select m from sys.metrics m where ...`).
@@ -572,12 +579,15 @@ int main(int argc, char** argv) {
           std::printf("usage: .cache [stats|clear|off|on]\n");
           continue;
         }
-        // Travels as a request like any other — works against the local
-        // server and on a read replica (it is not a mutation).
-        server::Response resp =
-            client->Call(server::Request::CacheControl(op));
-        if (!ExplainTransport(*client, resp)) continue;
-        PrintResultSet(resp.result);
+        // Administration travels as a request like any other — works
+        // against the local server and on a read replica (it is not a
+        // mutation); the stats are then read from sys.cache.
+        if (op != server::CacheOp::kStats) {
+          server::Response resp =
+              client->Call(server::Request::CacheControl(op));
+          if (!ExplainTransport(*client, resp)) continue;
+        }
+        PrintCatalog(*server, server->system_catalog().SelectAll("sys.cache"));
       } else if (cmd == ".checkpoint") {
         if (store == nullptr) {
           std::printf("no durable store attached — start the shell with "
@@ -597,21 +607,8 @@ int main(int argc, char** argv) {
           std::printf("not a replica — start the shell with "
                       "--follow <host:port>\n");
         } else {
-          const auto p = follower->progress();
-          std::printf("connected:   %s%s\n", p.connected ? "yes" : "NO",
-                      p.caught_up ? " (caught up)" : "");
-          std::printf("cursor:      generation %llu, journal %llu @ %llu\n",
-                      static_cast<unsigned long long>(p.generation),
-                      static_cast<unsigned long long>(p.journal_seq),
-                      static_cast<unsigned long long>(p.offset));
-          std::printf("lag:         %llu records, %llu bytes\n",
-                      static_cast<unsigned long long>(p.lag_records),
-                      static_cast<unsigned long long>(p.lag_bytes));
-          std::printf("history:     %llu reconnects, %llu rebootstraps, "
-                      "%llu corrupt frames\n",
-                      static_cast<unsigned long long>(p.reconnects),
-                      static_cast<unsigned long long>(p.rebootstraps),
-                      static_cast<unsigned long long>(p.corrupt_frames));
+          PrintCatalog(*server,
+                       server->system_catalog().SelectAll("sys.replication"));
         }
       } else if (cmd == ".promote") {
         if (follower == nullptr) {

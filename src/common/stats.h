@@ -60,9 +60,9 @@ inline LatencyStats SummarizeLatencies(const std::vector<double>& samples) {
 // ------------------------------------------------------------------- JSON
 
 /// Minimal JSON emitter for machine-readable output (`BENCH_*.json` files,
-/// metrics snapshots): nested objects/arrays with automatic comma
-/// placement. No escaping beyond the characters metric and benchmark names
-/// actually use.
+/// HTTP bodies): nested objects/arrays with automatic comma placement.
+/// Strings are escaped per RFC 8259 §7: quote, backslash and every byte
+/// below 0x20 (bytes from 0x80 up pass through as UTF-8).
 class JsonWriter {
  public:
   JsonWriter& BeginObject() { return Open('{'); }
@@ -107,6 +107,12 @@ class JsonWriter {
   JsonWriter& Bool(bool v) {
     Comma();
     out_ += v ? "true" : "false";
+    return *this;
+  }
+  /// Emits an already-rendered JSON value verbatim.
+  JsonWriter& Raw(const std::string& json) {
+    Comma();
+    out_ += json;
     return *this;
   }
 
@@ -154,7 +160,14 @@ class JsonWriter {
           out_ += "\\t";
           break;
         default:
-          out_ += c;
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x",
+                          static_cast<unsigned>(static_cast<unsigned char>(c)));
+            out_ += buf;
+          } else {
+            out_ += c;
+          }
       }
     }
   }

@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -120,34 +119,6 @@ std::string RenderQueryJson(const server::Response& resp) {
     w.String(resp.text);
   }
   w.EndObject();
-  return w.str();
-}
-
-std::string RenderSlowLogJson(
-    const std::vector<obs::SlowQueryLog::Entry>& entries) {
-  stats::JsonWriter w;
-  w.BeginArray();
-  for (const auto& e : entries) {
-    w.BeginObject();
-    w.Key("id");
-    w.Uint(e.request_id);
-    w.Key("trace_id");
-    w.String(e.trace_id);
-    w.Key("query");
-    w.String(e.query);
-    w.Key("micros");
-    w.Number(e.micros);
-    w.Key("queue_micros");
-    w.Number(e.queue_micros);
-    w.Key("guard_wait_micros");
-    w.Number(e.guard_wait_micros);
-    w.Key("execute_micros");
-    w.Number(e.execute_micros);
-    w.Key("profile");
-    w.String(e.profile);
-    w.EndObject();
-  }
-  w.EndArray();
   return w.str();
 }
 
@@ -479,12 +450,21 @@ std::string HttpFrontEnd::Handle(const HttpRequest& req,
   SplitTarget(req.target, &path_view, &query_view);
   const std::string path(path_view);
 
-  // Telemetry routes are answered directly on the handler thread — they
-  // read only the metrics registry, the health snapshot and the bounded
-  // rings, never the database guard, so a scrape succeeds while a writer
-  // holds the exclusive lock or the work queue is saturated.
+  // Telemetry routes are answered directly on the handler thread. The
+  // introspection routes are fixed POOL queries over the sys.* catalog,
+  // run through Server::QueryCatalog and rendered in the /query envelope:
+  // no work queue, no admission control, no database guard, so they
+  // answer while a writer holds the exclusive lock or the queue is full.
   if (req.method == "GET" || req.method == "HEAD") {
     const auto get_start = std::chrono::steady_clock::now();
+    auto bad_param = [&](const std::string& message) {
+      return SerializeHttpResponse(400, kJsonType, ErrorBody(message),
+                                   keep_alive);
+    };
+    // Non-empty for the catalog routes: the class to select from and the
+    // clauses after its range.
+    std::string catalog_class;
+    std::string catalog_tail;
     std::string body;
     std::string content_type = kJsonType;
     int status = 200;
@@ -498,79 +478,59 @@ std::string HttpFrontEnd::Handle(const HttpRequest& req,
              "server_epoch " +
              std::to_string(server_->server_epoch()) + "\n";
       content_type = kPromType;
-    } else if (path == "/stats") {
-      obs::UpdateProcessUptime();
-      body = obs::RenderJson(obs::Registry().Snapshot(),
-                             {{"server_epoch", server_->server_epoch()}});
     } else if (path == "/health") {
       const server::Server::Health h = server_->health();
       body = h.ToJson();
       if (h.degraded) status = 503;  // probes alert on the code alone
+    } else if (path == "/stats") {
+      catalog_class = "sys.metrics";
     } else if (path == "/slowlog") {
-      body = RenderSlowLogJson(server_->slow_query_log().entries());
+      catalog_class = "sys.slowlog";
     } else if (path == "/debug/requests") {
-      std::vector<obs::FlightRecorder::Entry> entries =
-          server_->flight_recorder().Snapshot();
-      std::string want_id;
-      if (QueryParam(query_view, "id", &want_id)) {
-        // Exact-match trace filter: the lookup a distributed trace needs
-        // ("show me what request t-123 did on this node").
-        std::vector<obs::FlightRecorder::Entry> matched;
-        for (auto& e : entries) {
-          if (e.trace_id == want_id) matched.push_back(std::move(e));
+      // Newest first. ?id= is an exact trace-id match — the lookup a
+      // distributed trace needs ("what did request t-123 do on this
+      // node") — and lands in a POOL string literal, so it must be a
+      // valid trace id. ?limit=N keeps the N most recent. Both are
+      // validated strictly: a malformed value is a client error, not a
+      // silent full dump.
+      catalog_class = "sys.requests";
+      std::string id;
+      if (QueryParam(query_view, "id", &id)) {
+        if (!ValidTraceId(id)) {
+          return bad_param(
+              "id must be a trace id (1-128 chars of [A-Za-z0-9._:-])");
         }
-        entries = std::move(matched);
+        catalog_tail = " where r.trace_id = '" + id + "'";
       }
-      // ?limit=N keeps only the N most recent entries. Strictly validated:
-      // a malformed or out-of-range value is a client error, not a silent
-      // full dump.
-      std::string limit_str;
-      if (QueryParam(query_view, "limit", &limit_str)) {
-        bool valid = !limit_str.empty() && limit_str.size() <= 7;
-        if (valid) {
-          for (char c : limit_str) {
-            if (!std::isdigit(static_cast<unsigned char>(c))) {
-              valid = false;
-              break;
-            }
-          }
+      catalog_tail += " order by r.seq desc";
+      std::string limit;
+      if (QueryParam(query_view, "limit", &limit)) {
+        const bool digits =
+            !limit.empty() && limit.size() <= 7 &&
+            limit.find_first_not_of("0123456789") == std::string::npos;
+        const std::uint64_t n =
+            digits ? std::strtoull(limit.c_str(), nullptr, 10) : 0;
+        if (n < 1 || n > 1000000) {
+          return bad_param("limit must be an integer in [1, 1000000], got '" +
+                           limit + "'");
         }
-        const std::uint64_t limit =
-            valid ? std::strtoull(limit_str.c_str(), nullptr, 10) : 0;
-        if (!valid || limit < 1 || limit > 1000000) {
-          return SerializeHttpResponse(
-              400, kJsonType,
-              ErrorBody("limit must be an integer in [1, 1000000], got '" +
-                        limit_str + "'"),
-              keep_alive);
-        }
-        if (entries.size() > limit) {
-          entries.erase(entries.begin(),
-                        entries.end() - static_cast<std::ptrdiff_t>(limit));
-        }
+        catalog_tail += " limit " + std::to_string(n);
       }
-      body = obs::RenderFlightRecorderJson(entries);
     } else if (path == "/debug/contention") {
-      // ?window=1 returns only what accumulated since the previous
-      // windowed call — the "what is blocking right now" view. The value
-      // is validated: a typo'd ?window=yes must not silently fall back to
+      // ?window=1 selects sys.contention_window: only what accumulated
+      // since the previous windowed read — the "what is blocking right
+      // now" view. A typo'd ?window=yes must not silently fall back to
       // the cumulative view an operator wasn't asking for.
+      catalog_class = "sys.contention";
       std::string window;
-      bool windowed = false;
       if (QueryParam(query_view, "window", &window)) {
         if (window.empty() || window == "1" || window == "true") {
-          windowed = true;
-        } else if (window == "0" || window == "false") {
-          windowed = false;
-        } else {
-          return SerializeHttpResponse(
-              400, kJsonType,
-              ErrorBody("window must be one of 1/0/true/false, got '" +
-                        window + "'"),
-              keep_alive);
+          catalog_class = "sys.contention_window";
+        } else if (window != "0" && window != "false") {
+          return bad_param("window must be one of 1/0/true/false, got '" +
+                           window + "'");
         }
       }
-      body = obs::RenderContentionJson(windowed);
     } else if (path == "/query" || path == "/profile") {
       return SerializeHttpResponse(
           405, kJsonType, ErrorBody("use POST with a POOL query body"),
@@ -579,6 +539,12 @@ std::string HttpFrontEnd::Handle(const HttpRequest& req,
       return SerializeHttpResponse(404, kJsonType,
                                    ErrorBody("no route for " + path),
                                    keep_alive);
+    }
+    if (!catalog_class.empty()) {
+      const server::Response resp = server_->QueryCatalog(
+          server_->system_catalog().SelectAll(catalog_class, catalog_tail));
+      body = RenderQueryJson(resp);
+      status = HttpStatusFor(resp);
     }
     if (req.method == "HEAD") body.clear();
     record_traced("http_get", std::chrono::duration<double, std::micro>(

@@ -28,13 +28,19 @@ namespace prometheus::net {
 ///                         no work queue, no database lock — so a scrape
 ///                         completes even while a writer holds the
 ///                         exclusive guard or the queue is saturated.
-///   GET  /stats           the same snapshot as JSON (kStats rendering).
 ///   GET  /health          overload/degradation summary; lock-free. 200
 ///                         when healthy, 503 while degraded (so probes can
 ///                         alert on the status code alone).
-///   GET  /slowlog         slow-query log entries as JSON.
-///   GET  /debug/requests  the flight recorder: last N completed request
-///                         traces, oldest first.
+///   GET  /stats           `sys.metrics` (includes a `server_epoch` row).
+///   GET  /slowlog         `sys.slowlog`.
+///   GET  /debug/requests  `sys.requests`, newest first; `?id=<trace id>`
+///                         filters by exact trace id, `?limit=N` keeps the
+///                         N most recent.
+///   GET  /debug/contention  `sys.contention`; `?window=1` serves
+///                         `sys.contention_window` instead.
+///                         These four are fixed POOL queries run through
+///                         `Server::QueryCatalog` on the handler thread and
+///                         answered in the POST /query JSON envelope.
 ///   POST /query           POOL text in the body; result set (and, for
 ///                         PROFILE queries, the rendered span tree) as
 ///                         JSON. Travels through the server's admission

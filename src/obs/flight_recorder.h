@@ -30,9 +30,12 @@ namespace prometheus::obs {
 class FlightRecorder {
  public:
   struct Entry {
+    /// 1-based write sequence, filled by `Snapshot` (the order entries
+    /// were recorded in; `sys.requests` orders "most recent" by it).
+    std::uint64_t seq = 0;
     std::uint64_t request_id = 0;
     std::string trace_id;   ///< trace-context id (`/debug/requests?id=`)
-    std::string type;       ///< "ping", "query", "mutation", "stats", ...
+    std::string type;       ///< "ping", "query", "mutation", "health", ...
     std::string priority;   ///< "low", "normal", "high"
     std::string code;       ///< transport outcome ("ok", "timed_out", ...)
     bool ok = false;        ///< executed and the database reported success
@@ -81,17 +84,16 @@ class FlightRecorder {
   std::vector<Entry> Snapshot() const {
     std::vector<Entry> out;
     if (capacity_ == 0) return out;
-    std::vector<std::pair<std::uint64_t, Entry>> tagged;
-    tagged.reserve(capacity_);
+    out.reserve(capacity_);
     for (std::size_t i = 0; i < capacity_; ++i) {
       Slot& slot = slots_[i];
       std::lock_guard<std::mutex> lock(slot.mu);
-      if (slot.seq != 0) tagged.emplace_back(slot.seq, slot.entry);
+      if (slot.seq == 0) continue;
+      out.push_back(slot.entry);
+      out.back().seq = slot.seq;
     }
-    std::sort(tagged.begin(), tagged.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out.reserve(tagged.size());
-    for (auto& [seq, entry] : tagged) out.push_back(std::move(entry));
+    std::sort(out.begin(), out.end(),
+              [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
     return out;
   }
 
@@ -122,9 +124,6 @@ class FlightRecorder {
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> next_{0};
 };
-
-/// Renders a snapshot as a JSON array, oldest first.
-std::string RenderFlightRecorderJson(const std::vector<FlightRecorder::Entry>& entries);
 
 }  // namespace prometheus::obs
 

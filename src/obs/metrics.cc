@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "common/stats.h"
+#include <cstdio>
 
 namespace prometheus::obs {
 
@@ -174,10 +173,6 @@ std::size_t MetricsRegistry::metric_count() const {
   return metrics_.size();
 }
 
-std::string MetricsRegistry::RenderJson() const {
-  return obs::RenderJson(Snapshot());
-}
-
 std::string MetricsRegistry::RenderPrometheusText() const {
   return obs::RenderPrometheusText(Snapshot());
 }
@@ -190,41 +185,6 @@ std::uint64_t MetricsSnapshot::CounterOr0(const std::string& name) const {
 }
 
 // --------------------------------------------------------------- rendering
-
-std::string RenderJson(
-    const MetricsSnapshot& snap,
-    const std::vector<std::pair<std::string, std::uint64_t>>&
-        extra_members) {
-  stats::JsonWriter json;
-  json.BeginObject();
-  for (const auto& [key, value] : extra_members) {
-    json.Key(key).Uint(value);
-  }
-  json.Key("counters").BeginObject();
-  for (const auto& c : snap.counters) {
-    json.Key(c.name).Uint(c.value);
-  }
-  json.EndObject();
-  json.Key("gauges").BeginObject();
-  for (const auto& g : snap.gauges) {
-    json.Key(g.name).Int(g.value);
-  }
-  json.EndObject();
-  json.Key("histograms").BeginObject();
-  for (const auto& h : snap.histograms) {
-    json.Key(h.name).BeginObject();
-    json.Key("count").Uint(h.hist.count);
-    json.Key("sum").Number(h.hist.sum);
-    json.Key("mean").Number(h.hist.mean());
-    json.Key("p50").Number(h.hist.Percentile(50));
-    json.Key("p95").Number(h.hist.Percentile(95));
-    json.Key("p99").Number(h.hist.Percentile(99));
-    json.EndObject();
-  }
-  json.EndObject();
-  json.EndObject();
-  return json.str();
-}
 
 namespace {
 

@@ -219,10 +219,6 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Point-in-time JSON rendering of the registry (counters, gauges,
-  /// histogram digests with p50/p95/p99).
-  std::string RenderJson() const;
-
   /// Prometheus text exposition format (# HELP / # TYPE lines, cumulative
   /// `_bucket{le="..."}` series, `_sum` and `_count`).
   std::string RenderPrometheusText() const;
@@ -247,14 +243,9 @@ class MetricsRegistry {
 /// Shorthand for `MetricsRegistry::Default()`.
 inline MetricsRegistry& Registry() { return MetricsRegistry::Default(); }
 
-// Free-standing renderers so an already-taken snapshot can be serialized
-// without holding the registry. `extra_members` are emitted as the leading
-// members of the top-level object (e.g. a server epoch), keeping callers
-// out of the string-splicing business.
-std::string RenderJson(
-    const MetricsSnapshot& snap,
-    const std::vector<std::pair<std::string, std::uint64_t>>& extra_members =
-        {});
+/// Free-standing renderer so an already-taken snapshot can be serialized
+/// without holding the registry. (Structured reads go through the
+/// `sys.metrics` catalog class instead of a second, JSON rendering.)
 std::string RenderPrometheusText(const MetricsSnapshot& snap);
 
 /// Escapes a label *value* for the Prometheus text exposition format:

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-
-#include "common/stats.h"
 
 namespace prometheus::obs {
 
@@ -144,22 +141,8 @@ struct WindowStore {
   }
 };
 
-void WriteStateJson(stats::JsonWriter& w, WaitState state,
-                    const Histogram::Snapshot& snap) {
-  w.Key(WaitStateName(state));
-  w.BeginObject();
-  w.Key("count").Uint(snap.count);
-  w.Key("total_micros").Number(snap.sum);
-  w.Key("mean_micros").Number(snap.mean());
-  w.Key("p50_micros").Number(snap.Percentile(50));
-  w.Key("p95_micros").Number(snap.Percentile(95));
-  w.Key("p99_micros").Number(snap.Percentile(99));
-  w.EndObject();
-}
-
 /// Cumulative or since-last-windowed-call snapshots, in ReportSources
-/// order. Windowed reads advance the shared window store, so the HTTP
-/// route and the shell command observe one common window.
+/// order. Windowed reads advance the shared window store.
 std::array<Histogram::Snapshot, 8> CollectSnapshots(
     const std::array<StateSource, 8>& sources, bool windowed) {
   std::array<Histogram::Snapshot, 8> out;
@@ -181,57 +164,16 @@ std::array<Histogram::Snapshot, 8> CollectSnapshots(
 
 }  // namespace
 
-std::string RenderContentionJson(bool windowed) {
+std::vector<ContentionStat> SnapshotContention(bool windowed) {
   const std::array<StateSource, 8> sources = ReportSources();
   const std::array<Histogram::Snapshot, 8> snaps =
       CollectSnapshots(sources, windowed);
-  const GuardInstruments& g = GuardInstruments::Get();
-
-  stats::JsonWriter w;
-  w.BeginObject();
-  w.Key("windowed").Bool(windowed);
-  w.Key("states");
-  w.BeginObject();
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    WriteStateJson(w, sources[i].state, snaps[i]);
-  }
-  w.EndObject();
-  w.Key("guard");
-  w.BeginObject();
-  w.Key("blocked_readers").Int(g.blocked_readers->value());
-  w.Key("blocked_writers").Int(g.blocked_writers->value());
-  w.Key("writer_held").Int(g.writer_held->value());
-  w.Key("writer_last_hold_micros").Int(g.writer_last_hold_micros->value());
-  w.Key("writer_longest_wait_micros").Int(g.writer_longest_wait->value());
-  w.EndObject();
-  // MVCC retention/pinning gauges. Resolved by name: core maintains them
-  // (mirrors of its always-on counters) and obs cannot link against core,
-  // so the registry is the seam.
-  {
-    MetricsRegistry& reg = Registry();
-    w.Key("mvcc");
-    w.BeginObject();
-    w.Key("retained_versions")
-        .Int(reg.GetGauge("mvcc_retained_versions")->value());
-    w.Key("live_snapshots").Int(reg.GetGauge("mvcc_live_snapshots")->value());
-    w.Key("pinned_snapshots")
-        .Int(reg.GetGauge("mvcc_pinned_snapshots")->value());
-    w.Key("oldest_snapshot_epoch")
-        .Int(reg.GetGauge("mvcc_oldest_snapshot_epoch")->value());
-    w.EndObject();
-  }
-  w.EndObject();
-  return w.str();
-}
-
-std::vector<ContentionStat> SnapshotContention() {
-  const std::array<StateSource, 8> sources = ReportSources();
   std::vector<ContentionStat> out;
   out.reserve(sources.size());
-  for (const StateSource& src : sources) {
-    Histogram::Snapshot snap = src.hist->snapshot();
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const Histogram::Snapshot& snap = snaps[i];
     ContentionStat stat;
-    stat.state = WaitStateName(src.state);
+    stat.state = WaitStateName(sources[i].state);
     stat.count = snap.count;
     stat.total_micros = snap.sum;
     stat.mean_micros = snap.mean();
@@ -240,53 +182,6 @@ std::vector<ContentionStat> SnapshotContention() {
     stat.p99_micros = snap.Percentile(99);
     out.push_back(std::move(stat));
   }
-  return out;
-}
-
-std::string RenderContentionText(bool windowed) {
-  const std::array<StateSource, 8> sources = ReportSources();
-  const std::array<Histogram::Snapshot, 8> snaps =
-      CollectSnapshots(sources, windowed);
-  const GuardInstruments& g = GuardInstruments::Get();
-
-  std::string out = windowed ? "wait states (since last window):\n"
-                             : "wait states (cumulative):\n";
-  char line[192];
-  std::snprintf(line, sizeof(line), "  %-16s %10s %14s %10s %10s %10s\n",
-                "state", "count", "total_us", "mean_us", "p95_us", "p99_us");
-  out += line;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const Histogram::Snapshot& s = snaps[i];
-    std::snprintf(line, sizeof(line),
-                  "  %-16s %10llu %14.0f %10.1f %10.1f %10.1f\n",
-                  WaitStateName(sources[i].state),
-                  static_cast<unsigned long long>(s.count), s.sum, s.mean(),
-                  s.Percentile(95), s.Percentile(99));
-    out += line;
-  }
-  std::snprintf(line, sizeof(line),
-                "guard: blocked_readers=%lld blocked_writers=%lld "
-                "writer_held=%lld last_exclusive_hold=%lldus "
-                "longest_writer_wait=%lldus\n",
-                static_cast<long long>(g.blocked_readers->value()),
-                static_cast<long long>(g.blocked_writers->value()),
-                static_cast<long long>(g.writer_held->value()),
-                static_cast<long long>(g.writer_last_hold_micros->value()),
-                static_cast<long long>(g.writer_longest_wait->value()));
-  out += line;
-  MetricsRegistry& reg = Registry();
-  std::snprintf(line, sizeof(line),
-                "mvcc: retained_versions=%lld live_snapshots=%lld "
-                "pinned_snapshots=%lld oldest_snapshot_epoch=%lld\n",
-                static_cast<long long>(
-                    reg.GetGauge("mvcc_retained_versions")->value()),
-                static_cast<long long>(
-                    reg.GetGauge("mvcc_live_snapshots")->value()),
-                static_cast<long long>(
-                    reg.GetGauge("mvcc_pinned_snapshots")->value()),
-                static_cast<long long>(
-                    reg.GetGauge("mvcc_oldest_snapshot_epoch")->value()));
-  out += line;
   return out;
 }
 

@@ -16,10 +16,10 @@ namespace prometheus::obs {
 // into named wait states, each exported as its own histogram family. The
 // server observes admission/queue/execute/serialize; the epoch guard in
 // core/database.h observes guard acquisition and hold times; the journal
-// observes append and fsync latency. `/debug/contention` and the shell's
-// `.contention` render the assembled report, optionally windowed (deltas
-// since the previous windowed report) so an operator watching a live
-// incident sees the last interval, not the lifetime average.
+// observes append and fsync latency. `sys.contention` serves the assembled
+// report and `sys.contention_window` its windowed form (deltas since the
+// previous windowed read), so an operator watching a live incident sees
+// the last interval, not the lifetime average.
 
 /// The named wait states a request's lifetime decomposes into. Used as the
 /// `state` label of `request_wait_micros` and as keys of the contention
@@ -90,22 +90,8 @@ struct WaitInstruments {
 Histogram::Snapshot SnapshotDelta(const Histogram::Snapshot& now,
                                   const Histogram::Snapshot& then);
 
-/// Assembles the contention report: one JSON object per wait state
-/// (count, total micros, mean, p50/p95/p99) plus the guard gauges. With
-/// `windowed`, each state reports the delta since the previous windowed
-/// call (the first windowed call reports since process start) — the
-/// windows are kept per-process under a mutex, matching the process-wide
-/// registry the states live in.
-std::string RenderContentionJson(bool windowed);
-
-/// The same report as a fixed-width text table (the shell's `.contention`).
-/// Windowed reads share the JSON renderer's window store.
-std::string RenderContentionText(bool windowed);
-
-/// One wait state's cumulative statistics — the structured face of the
-/// contention report (`sys.contention` rows). Deliberately cumulative-only:
-/// a structured read must never consume the shared windowed delta store the
-/// HTTP route and shell advance.
+/// One wait state's statistics: a `sys.contention` or
+/// `sys.contention_window` row.
 struct ContentionStat {
   std::string state;
   std::uint64_t count = 0;
@@ -116,10 +102,12 @@ struct ContentionStat {
   double p99_micros = 0;
 };
 
-/// Cumulative per-state statistics in report display order. Shares the
-/// histogram sources with the JSON/text renderers, so names and numbers can
-/// never drift between `/debug/contention` and `sys.contention`.
-std::vector<ContentionStat> SnapshotContention();
+/// Per-state statistics in report display order. Cumulative by default;
+/// with `windowed`, each state reports the delta since the previous
+/// windowed call (the first one reports since process start). The window
+/// store is process-wide under a mutex, matching the process-wide registry
+/// the states live in, so every windowed reader shares one window.
+std::vector<ContentionStat> SnapshotContention(bool windowed = false);
 
 }  // namespace prometheus::obs
 

@@ -252,12 +252,18 @@ std::uint64_t PrometheusOo7::RangeQ2(std::int64_t lo, std::int64_t hi) const {
 
 std::uint64_t PrometheusOo7::ReverseQ4(int n) const {
   std::mt19937 rng(config_.seed + 2);
-  std::vector<Oid> atoms = db_.Extent("AtomicPart");
+  // Sample in `id` order, as BaselineOo7 does: extent order is permuted by
+  // S2's deletions, so drawing from it would pick different parts.
+  std::vector<std::pair<std::int64_t, Oid>> atoms;
+  for (Oid oid : db_.Extent("AtomicPart")) {
+    atoms.emplace_back(db_.GetAttribute(oid, "id").value().AsInt(), oid);
+  }
   if (atoms.empty()) return 0;
+  std::sort(atoms.begin(), atoms.end());
   std::uniform_int_distribution<std::size_t> pick(0, atoms.size() - 1);
   std::uint64_t reached = 0;
   for (int i = 0; i < n; ++i) {
-    Oid atom = atoms[pick(rng)];
+    Oid atom = atoms[pick(rng)].second;
     for (Oid comp : db_.Neighbors(atom, "has_part", Direction::kIn)) {
       for (Oid base :
            db_.Neighbors(comp, "uses_component", Direction::kIn)) {

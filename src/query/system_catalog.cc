@@ -34,6 +34,20 @@ std::vector<Value> SystemCatalog::Materialize(const std::string& name) const {
   return {};
 }
 
+std::string SystemCatalog::SelectAll(const std::string& name,
+                                     const std::string& tail) const {
+  std::string projection;
+  for (const ClassInfo& info : infos_) {
+    if (info.name != name) continue;
+    for (const std::string& a : info.attributes) {
+      if (!projection.empty()) projection += ", ";
+      projection += "r." + a + " as " + a;
+    }
+  }
+  if (projection.empty()) projection = "r";  // unknown class: NotFound later
+  return "select " + projection + " from " + name + " r" + tail;
+}
+
 bool QueryTouchesCatalog(const std::string& text) {
   bool in_string = false;
   char quote = '\0';

@@ -55,6 +55,14 @@ class SystemCatalog {
   /// shell's `.sys` listing).
   const std::vector<ClassInfo>& ListClasses() const { return infos_; }
 
+  /// The query projecting every attribute of class `name` under its own
+  /// column name: `select r.a as a, r.b as b, ... from <name> r<tail>`,
+  /// where `tail` holds optional where / order by / limit clauses over `r`.
+  /// The fixed introspection queries (HTTP debug routes, shell commands)
+  /// are built with it.
+  std::string SelectAll(const std::string& name,
+                        const std::string& tail = "") const;
+
  private:
   struct Entry {
     ClassInfo info;

@@ -86,12 +86,6 @@ Result<std::uint64_t> Client::Ping() {
   return resp.epoch;
 }
 
-Result<std::string> Client::Stats(StatsFormat format) {
-  Response resp = Call(Request::Stats(format));
-  if (!resp.ok()) return TransportStatus(resp);
-  return std::move(resp.text);
-}
-
 Result<std::string> Client::Health() {
   Response resp = Call(Request::Health());
   if (!resp.ok()) return TransportStatus(resp);

@@ -81,9 +81,6 @@ class Client {
   /// Liveness probe; returns the database epoch at execution.
   Result<std::uint64_t> Ping();
 
-  /// Live metrics snapshot, rendered as JSON or Prometheus text.
-  Result<std::string> Stats(StatsFormat format = StatsFormat::kJson);
-
   /// Overload/degradation summary (see Server::Health), as rendered JSON.
   /// Executes at high priority and takes no database lock, so it answers
   /// even when the server is overloaded or degraded.

@@ -9,13 +9,6 @@ Request Request::Query(std::string pool_text) {
   return r;
 }
 
-Request Request::Stats(StatsFormat format) {
-  Request r;
-  r.kind = RequestKind::kStats;
-  r.stats_format = format;
-  return r;
-}
-
 Request Request::Health() {
   Request r;
   r.kind = RequestKind::kHealth;

@@ -28,7 +28,6 @@ enum class RequestKind : std::uint8_t {
   kPing,      ///< liveness probe; touches nothing, reports the epoch
   kQuery,     ///< POOL text, evaluated under a shared (read) lock
   kMutation,  ///< structured mutation, applied under an exclusive lock
-  kStats,     ///< metrics snapshot; reads only the registry, takes no lock
   kHealth,    ///< overload/degradation summary; takes no database lock
   /// Query-cache administration (stats / clear / off / on); touches only
   /// the server's cache, never the database — serves on followers and in
@@ -43,12 +42,6 @@ enum class CacheOp : std::uint8_t {
   kClear,    ///< drop every cached plan and result
   kDisable,  ///< stop lookups and inserts (entries stay resident)
   kEnable,   ///< re-enable both tiers
-};
-
-/// Rendering of a kStats response.
-enum class StatsFormat : std::uint8_t {
-  kJson,            ///< {"counters":{...},"gauges":{...},"histograms":{...}}
-  kPrometheusText,  ///< Prometheus text exposition format
 };
 
 /// A structured mutation command — the wire-friendly subset of the
@@ -90,8 +83,7 @@ struct Request {
   RequestKind kind = RequestKind::kPing;
   std::string query;    ///< POOL text (kQuery)
   MutationOp mutation;  ///< (kMutation)
-  StatsFormat stats_format = StatsFormat::kJson;  ///< (kStats)
-  CacheOp cache_op = CacheOp::kStats;             ///< (kCacheControl)
+  CacheOp cache_op = CacheOp::kStats;  ///< (kCacheControl)
 
   /// Trace-context id. Empty means "assign one at admission": the server
   /// stamps `<server_epoch>-<request id>` so every request is retrievable
@@ -131,7 +123,6 @@ struct Request {
   // Builders — the only intended way to make a Request.
   static Request Ping() { return {}; }
   static Request Query(std::string pool_text);
-  static Request Stats(StatsFormat format = StatsFormat::kJson);
   static Request Health();
   static Request CreateObject(std::string class_name,
                               std::vector<AttrInit> inits = {});
@@ -186,8 +177,8 @@ struct Response {
   pool::ResultSet result;   ///< rows (kQuery); stage table (PROFILE)
   Oid oid = kNullOid;       ///< created oid (kCreateObject / kCreateLink)
   std::uint64_t epoch = 0;  ///< database epoch the request executed at
-  /// Rendered text payload: the metrics snapshot (kStats), the health
-  /// summary (kHealth) or the span tree of a PROFILE query.
+  /// Rendered text payload: the health summary (kHealth), the cache stats
+  /// (kCacheControl) or the span tree of a PROFILE query.
   std::string text;
   /// True when the request began executing on a worker. The retry policy
   /// keys off this: a request that never executed is always safe to

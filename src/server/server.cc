@@ -7,6 +7,7 @@
 
 #include "cache/result_size.h"
 #include "common/exec_context.h"
+#include "common/stats.h"
 #include "core/read_view.h"
 #include "core/snapshot.h"
 #include "obs/metrics.h"
@@ -18,8 +19,8 @@ namespace prometheus::server {
 
 namespace {
 
-/// Per-request-type latency histograms plus the executed/error counters
-/// the kStats snapshot surfaces; registered once, pointers cached.
+/// Per-request-type latency histograms plus the executed/error counters;
+/// registered once, pointers cached.
 struct ServerMetrics {
   obs::Counter* requests;
   obs::Counter* errors;
@@ -29,7 +30,6 @@ struct ServerMetrics {
   obs::Histogram* ping_micros;
   obs::Histogram* query_micros;
   obs::Histogram* mutation_micros;
-  obs::Histogram* stats_micros;
   obs::Histogram* health_micros;
   obs::Histogram* cache_micros;
 
@@ -41,8 +41,6 @@ struct ServerMetrics {
         return query_micros;
       case RequestKind::kMutation:
         return mutation_micros;
-      case RequestKind::kStats:
-        return stats_micros;
       case RequestKind::kHealth:
         return health_micros;
       case RequestKind::kCacheControl:
@@ -77,8 +75,6 @@ struct ServerMetrics {
           reg.GetHistogram("server_request_micros{type=\"query\"}", help);
       sm.mutation_micros =
           reg.GetHistogram("server_request_micros{type=\"mutation\"}", help);
-      sm.stats_micros =
-          reg.GetHistogram("server_request_micros{type=\"stats\"}", help);
       sm.health_micros =
           reg.GetHistogram("server_request_micros{type=\"health\"}", help);
       sm.cache_micros =
@@ -122,8 +118,6 @@ const char* KindName(RequestKind kind) {
       return "query";
     case RequestKind::kMutation:
       return "mutation";
-    case RequestKind::kStats:
-      return "stats";
     case RequestKind::kHealth:
       return "health";
     case RequestKind::kCacheControl:
@@ -210,56 +204,37 @@ std::string FlightDetail(const Request& req) {
   }
 }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string Server::Health::ToJson() const {
-  std::string out = "{";
-  out += "\"server_epoch\":" + std::to_string(server_epoch);
-  out += ",\"degraded\":" + std::string(degraded ? "true" : "false");
-  out += ",\"read_only\":" + std::string(read_only ? "true" : "false");
-  if (!replication.empty()) out += ",\"replication\":" + replication;
-  out += ",\"store_status\":\"" + JsonEscape(store_status.ToString()) + "\"";
-  out += ",\"queue_depth\":" + std::to_string(queue_depth);
-  out += ",\"queue_capacity\":" + std::to_string(queue_capacity);
-  out += ",\"workers\":" + std::to_string(workers);
-  out += ",\"estimated_wait_micros\":" +
-         std::to_string(static_cast<std::int64_t>(estimated_wait_micros));
-  out += ",\"accepted\":" + std::to_string(stats.accepted);
-  out += ",\"rejected\":" + std::to_string(stats.rejected);
-  out += ",\"timed_out\":" + std::to_string(stats.timed_out);
-  out += ",\"shed\":" + std::to_string(stats.shed);
-  out += ",\"unavailable\":" + std::to_string(stats.unavailable);
-  out += ",\"errors\":" + std::to_string(stats.errors);
-  out += ",\"sessions_active\":" + std::to_string(sessions_active);
-  out += "}";
-  return out;
+  stats::JsonWriter w;
+  w.BeginObject();
+  w.Key("server_epoch").Uint(server_epoch);
+  w.Key("degraded").Bool(degraded);
+  w.Key("read_only").Bool(read_only);
+  if (!replication.empty()) w.Key("replication").Raw(replication);
+  w.Key("store_status").String(store_status.ToString());
+  w.Key("queue_depth").Uint(queue_depth);
+  w.Key("queue_capacity").Uint(queue_capacity);
+  w.Key("workers").Int(workers);
+  w.Key("estimated_wait_micros")
+      .Int(static_cast<long long>(estimated_wait_micros));
+  w.Key("accepted").Uint(stats.accepted);
+  w.Key("rejected").Uint(stats.rejected);
+  w.Key("timed_out").Uint(stats.timed_out);
+  w.Key("shed").Uint(stats.shed);
+  w.Key("unavailable").Uint(stats.unavailable);
+  w.Key("errors").Uint(stats.errors);
+  w.Key("sessions_active").Uint(sessions_active);
+  w.EndObject();
+  return w.str();
 }
 
 Server::Server(Database* db, Options options)
     : db_(db),
       query_cache_(options.cache),
       engine_(db, options.indexes),
+      catalog_engine_(db, options.indexes),
       slow_log_(options.slow_query_micros, options.slow_query_capacity),
       flight_recorder_(options.flight_recorder_capacity),
       executor_(ThreadPoolExecutor::Options{options.worker_threads,
@@ -298,6 +273,7 @@ Server::Server(Database* db, Options options)
   // providers run on query workers against internally synchronized state.
   RegisterSystemCatalog();
   engine_.set_system_catalog(&catalog_);
+  catalog_engine_.set_system_catalog(&catalog_);
   ddl_listener_ = db_->bus().Subscribe([this](const Event& e) {
     switch (e.kind) {
       case EventKind::kAfterDefineClass:
@@ -359,6 +335,23 @@ Value StringList(const std::vector<std::string>& items) {
   return Value::MakeList(std::move(out));
 }
 
+/// `sys.contention` / `sys.contention_window` rows; see RegisterSystemCatalog.
+std::vector<Value> ContentionRows(bool windowed) {
+  std::vector<Value> rows;
+  for (const obs::ContentionStat& st : obs::SnapshotContention(windowed)) {
+    rows.push_back(Value::MakeStruct(
+        {{"windowed", Value::Bool(windowed)},
+         {"state", Value::String(st.state)},
+         {"count", Value::Int(static_cast<std::int64_t>(st.count))},
+         {"total_micros", Value::Double(st.total_micros)},
+         {"mean_micros", Value::Double(st.mean_micros)},
+         {"p50_micros", Value::Double(st.p50_micros)},
+         {"p95_micros", Value::Double(st.p95_micros)},
+         {"p99_micros", Value::Double(st.p99_micros)}}));
+  }
+  return rows;
+}
+
 }  // namespace
 
 void Server::RegisterSystemCatalog() {
@@ -385,47 +378,49 @@ void Server::RegisterSystemCatalog() {
       "sys.metrics",
       "Every registered metric: counters, gauges and histogram summaries",
       {"name", "kind", "value", "count", "sum", "p50", "p95", "p99", "help"},
-      []() {
+      [this]() {
         obs::UpdateProcessUptime();
         const obs::MetricsSnapshot snap = obs::Registry().Snapshot();
         std::vector<Value> rows;
         rows.reserve(snap.counters.size() + snap.gauges.size() +
-                     snap.histograms.size());
-        for (const auto& c : snap.counters) {
+                     snap.histograms.size() + 1);
+        auto add = [&rows](const std::string& name, const char* kind,
+                           Value value, Value count, Value sum, Value p50,
+                           Value p95, Value p99, const std::string& help) {
           rows.push_back(Value::MakeStruct(
-              {{"name", Value::String(c.name)},
-               {"kind", Value::String("counter")},
-               {"value", Value::Int(static_cast<std::int64_t>(c.value))},
-               {"count", Value::Null()},
-               {"sum", Value::Null()},
-               {"p50", Value::Null()},
-               {"p95", Value::Null()},
-               {"p99", Value::Null()},
-               {"help", Value::String(c.help)}}));
+              {{"name", Value::String(name)},
+               {"kind", Value::String(kind)},
+               {"value", std::move(value)},
+               {"count", std::move(count)},
+               {"sum", std::move(sum)},
+               {"p50", std::move(p50)},
+               {"p95", std::move(p95)},
+               {"p99", std::move(p99)},
+               {"help", Value::String(help)}}));
+        };
+        const Value null = Value::Null();
+        for (const auto& c : snap.counters) {
+          add(c.name, "counter", Value::Int(static_cast<std::int64_t>(c.value)),
+              null, null, null, null, null, c.help);
         }
         for (const auto& g : snap.gauges) {
-          rows.push_back(Value::MakeStruct({{"name", Value::String(g.name)},
-                                            {"kind", Value::String("gauge")},
-                                            {"value", Value::Int(g.value)},
-                                            {"count", Value::Null()},
-                                            {"sum", Value::Null()},
-                                            {"p50", Value::Null()},
-                                            {"p95", Value::Null()},
-                                            {"p99", Value::Null()},
-                                            {"help", Value::String(g.help)}}));
+          add(g.name, "gauge", Value::Int(g.value), null, null, null, null,
+              null, g.help);
         }
+        // This server's restart-detection epoch. A row of this provider,
+        // not a registry gauge: servers sharing a process (a leader and
+        // its followers) share one registry but not one epoch.
+        add("server_epoch", "gauge",
+            Value::Int(static_cast<std::int64_t>(server_epoch_)), null, null,
+            null, null, null,
+            "Wall-clock microseconds at server construction; changes on "
+            "restart");
         for (const auto& h : snap.histograms) {
-          rows.push_back(Value::MakeStruct(
-              {{"name", Value::String(h.name)},
-               {"kind", Value::String("histogram")},
-               {"value", Value::Null()},
-               {"count",
-                Value::Int(static_cast<std::int64_t>(h.hist.count))},
-               {"sum", Value::Double(h.hist.sum)},
-               {"p50", Value::Double(h.hist.Percentile(50))},
-               {"p95", Value::Double(h.hist.Percentile(95))},
-               {"p99", Value::Double(h.hist.Percentile(99))},
-               {"help", Value::String(h.help)}}));
+          add(h.name, "histogram", null,
+              Value::Int(static_cast<std::int64_t>(h.hist.count)),
+              Value::Double(h.hist.sum), Value::Double(h.hist.Percentile(50)),
+              Value::Double(h.hist.Percentile(95)),
+              Value::Double(h.hist.Percentile(99)), h.help);
         }
         return rows;
       });
@@ -434,15 +429,17 @@ void Server::RegisterSystemCatalog() {
   catalog_.Register(
       "sys.requests",
       "The flight recorder: the last N completed requests, oldest first",
-      {"request_id", "trace_id", "type", "priority", "code", "ok", "executed",
-       "epoch", "queue_wait_micros", "total_micros", "guard_wait_micros",
-       "execute_micros", "journal_micros", "detail"},
+      {"seq", "request_id", "trace_id", "type", "priority", "code", "ok",
+       "executed", "epoch", "queue_wait_micros", "total_micros",
+       "guard_wait_micros", "execute_micros", "journal_micros", "detail",
+       "stages"},
       [this]() {
         std::vector<Value> rows;
         for (const obs::FlightRecorder::Entry& e :
              flight_recorder_.Snapshot()) {
           rows.push_back(Value::MakeStruct(
-              {{"request_id",
+              {{"seq", Value::Int(static_cast<std::int64_t>(e.seq))},
+               {"request_id",
                 Value::Int(static_cast<std::int64_t>(e.request_id))},
                {"trace_id", Value::String(e.trace_id)},
                {"type", Value::String(e.type)},
@@ -456,33 +453,51 @@ void Server::RegisterSystemCatalog() {
                {"guard_wait_micros", Value::Double(e.guard_wait_micros)},
                {"execute_micros", Value::Double(e.execute_micros)},
                {"journal_micros", Value::Double(e.journal_micros)},
-               {"detail", Value::String(e.detail)}}));
+               {"detail", Value::String(e.detail)},
+               {"stages", Value::String(e.stages)}}));
         }
         return rows;
       });
 
-  // sys.contention — cumulative wait-state statistics. Cumulative only:
-  // a catalog read must never consume the windowed delta the HTTP route
-  // and the shell share.
+  // sys.slowlog — the slow-query log ring, oldest first.
   catalog_.Register(
-      "sys.contention",
-      "Cumulative wait-state statistics (the contention report)",
-      {"state", "count", "total_micros", "mean_micros", "p50_micros",
-       "p95_micros", "p99_micros"},
-      []() {
+      "sys.slowlog",
+      "Queries over the slow-query threshold, oldest first (empty when the "
+      "log is disabled)",
+      {"request_id", "trace_id", "query", "micros", "queue_micros",
+       "guard_wait_micros", "execute_micros", "profile"},
+      [this]() {
         std::vector<Value> rows;
-        for (const obs::ContentionStat& s : obs::SnapshotContention()) {
+        for (const obs::SlowQueryLog::Entry& e : slow_log_.entries()) {
           rows.push_back(Value::MakeStruct(
-              {{"state", Value::String(s.state)},
-               {"count", Value::Int(static_cast<std::int64_t>(s.count))},
-               {"total_micros", Value::Double(s.total_micros)},
-               {"mean_micros", Value::Double(s.mean_micros)},
-               {"p50_micros", Value::Double(s.p50_micros)},
-               {"p95_micros", Value::Double(s.p95_micros)},
-               {"p99_micros", Value::Double(s.p99_micros)}}));
+              {{"request_id",
+                Value::Int(static_cast<std::int64_t>(e.request_id))},
+               {"trace_id", Value::String(e.trace_id)},
+               {"query", Value::String(e.query)},
+               {"micros", Value::Double(e.micros)},
+               {"queue_micros", Value::Double(e.queue_micros)},
+               {"guard_wait_micros", Value::Double(e.guard_wait_micros)},
+               {"execute_micros", Value::Double(e.execute_micros)},
+               {"profile", Value::String(e.profile)}}));
         }
         return rows;
       });
+
+  // sys.contention — cumulative wait-state statistics; sys.contention_window
+  // — the same states since the previous windowed read. Materializing the
+  // window advances the process-wide window store, so every windowed reader
+  // (route, shell, ad-hoc query) shares one window.
+  const std::vector<std::string> contention_attributes = {
+      "windowed",    "state",      "count",      "total_micros",
+      "mean_micros", "p50_micros", "p95_micros", "p99_micros"};
+  catalog_.Register(
+      "sys.contention",
+      "Cumulative wait-state statistics (the contention report)",
+      contention_attributes, [] { return ContentionRows(false); });
+  catalog_.Register(
+      "sys.contention_window",
+      "Wait-state statistics since the previous read of this class",
+      contention_attributes, [] { return ContentionRows(true); });
 
   // sys.cache — the canonical QueryCacheStats::Fields() rows, shared with
   // `.cache stats` so the two surfaces can never drift.
@@ -888,9 +903,6 @@ Response Server::Execute(RequestId id, const Request& req,
       resp = ExecuteMutation(id, req);
       mutations_.fetch_add(1, std::memory_order_relaxed);
       break;
-    case RequestKind::kStats:
-      resp = ExecuteStats(id, req);
-      break;
     case RequestKind::kHealth:
       resp = ExecuteHealth(id, req);
       break;
@@ -948,7 +960,7 @@ void Server::RecordFlight(RequestId id, const Request& req,
   entry.detail = resp.cache_hit ? "[cache hit] " + FlightDetail(req)
                                 : FlightDetail(req);
   // PROFILE queries already rendered their span tree into the response;
-  // keep it so `.recent` / /debug/requests shows per-stage structure.
+  // keep it so sys.requests shows per-stage structure.
   if (req.kind == RequestKind::kQuery && pool::IsProfileQuery(req.query)) {
     entry.stages = resp.text;
   }
@@ -1024,6 +1036,32 @@ bool Server::TryServeFromCache(RequestId id, const Request& req,
   }
   *out = std::move(resp);
   return true;
+}
+
+Response Server::QueryCatalog(const std::string& pool_text) {
+  Response resp;
+  if (!pool::QueryTouchesCatalog(pool_text)) {
+    resp.status = Status::InvalidArgument(
+        "QueryCatalog serves sys.* queries only; submit other queries "
+        "through a session");
+    return resp;
+  }
+  // The same MVCC read path as ExecuteQuery, minus the queue: the pinned
+  // snapshot is the thread's read view, so sys.classes / sys.storage never
+  // touch the live database and a writer holding the guard cannot block
+  // this. Catalog rows are never cached, so the result cache is skipped,
+  // and catalog_engine_ has no plan cache: introspection must not take
+  // entries from, or move the counters of, the plan cache users query.
+  SnapshotHandle snap = db_->AcquireSnapshot();
+  resp.epoch = snap->epoch();
+  resp.executed = true;
+  Result<pool::ResultSet> result = catalog_engine_.Execute(pool_text, *snap);
+  if (result.ok()) {
+    resp.result = std::move(result).value();
+  } else {
+    resp.status = result.status();
+  }
+  return resp;
 }
 
 Response Server::ExecuteCacheControl(RequestId id, const Request& req) {
@@ -1177,38 +1215,13 @@ Response Server::ExecuteQuery(RequestId id, const Request& req,
   return resp;
 }
 
-Response Server::ExecuteStats(RequestId id, const Request& req) {
-  Response resp;
-  resp.id = id;
-  resp.epoch = db_->epoch();
-  // The registry synchronises itself; no database lock is needed, so a
-  // stats probe never queues behind a long mutation's write guard.
-  obs::UpdateProcessUptime();
-  obs::MetricsSnapshot snap = obs::Registry().Snapshot();
-  if (req.stats_format == StatsFormat::kPrometheusText) {
-    // `server_epoch` rides along as its own gauge block so a scraper can
-    // tell a restarted server from an in-place counter reset.
-    resp.text = obs::RenderPrometheusText(snap) +
-                "# HELP server_epoch Wall-clock microseconds at server "
-                "construction; changes on restart\n"
-                "# TYPE server_epoch gauge\n"
-                "server_epoch " +
-                std::to_string(server_epoch_) + "\n";
-  } else {
-    // The epoch rides as the object's first member so a scraper can tell a
-    // restarted server from an in-place counter reset.
-    resp.text = obs::RenderJson(snap, {{"server_epoch", server_epoch_}});
-  }
-  return resp;
-}
-
 Response Server::ExecuteHealth(RequestId id, const Request&) {
   Response resp;
   resp.id = id;
   resp.epoch = db_->epoch();
   // Reads only server-cached state (atomics + the cached store status) —
-  // like kStats it never queues behind a writer's lock, so it stays
-  // answerable exactly when things go wrong.
+  // it never queues behind a writer's lock, so it stays answerable
+  // exactly when things go wrong.
   Health h = health();
   resp.text = h.ToJson();
   resp.result.columns = {"field", "value"};

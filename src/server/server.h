@@ -77,7 +77,7 @@ class Server {
     /// Slow-query log ring capacity.
     std::size_t slow_query_capacity = 128;
     /// Flight-recorder ring capacity: the last N completed request traces
-    /// (`GET /debug/requests`, shell `.recent`). 0 disables recording.
+    /// (`sys.requests`). 0 disables recording.
     std::size_t flight_recorder_capacity = 128;
     /// Optional durability manager wrapping `db`. Must outlive the server
     /// and must be the store whose `db()` the server serves. Enables
@@ -182,6 +182,16 @@ class Server {
   /// construction; the shell's `.sys` renders its listing.
   const pool::SystemCatalog& system_catalog() const { return catalog_; }
 
+  /// Runs a POOL query over the `sys.*` catalog on the calling thread. It
+  /// never enters the work queue or admission control, and it pins the
+  /// latest snapshot as its read view, so it answers while every worker is
+  /// busy, the queue is full or a writer holds the guard. The one
+  /// introspection path: the HTTP debug routes, `/stats` and the shell's
+  /// introspection commands are fixed queries through it. Text that names
+  /// no `sys.` class is refused with InvalidArgument; other queries go
+  /// through a session. The response has no request id or trace id.
+  Response QueryCatalog(const std::string& pool_text);
+
   /// Queries that exceeded Options::slow_query_micros (empty when disabled).
   const obs::SlowQueryLog& slow_query_log() const { return slow_log_; }
 
@@ -221,7 +231,6 @@ class Server {
   Response ExecuteQuery(RequestId id, const Request& req,
                         double queue_wait_micros);
   Response ExecuteMutation(RequestId id, const Request& req);
-  Response ExecuteStats(RequestId id, const Request& req);
   Response ExecuteHealth(RequestId id, const Request& req);
   Response ExecuteCacheControl(RequestId id, const Request& req);
 
@@ -247,6 +256,8 @@ class Server {
   cache::QueryCache query_cache_;
   pool::SystemCatalog catalog_;
   pool::QueryEngine engine_;
+  /// QueryCatalog's engine: the same catalog, no plan cache.
+  pool::QueryEngine catalog_engine_;
   obs::SlowQueryLog slow_log_;
   obs::FlightRecorder flight_recorder_;
   ThreadPoolExecutor executor_;

@@ -113,9 +113,9 @@ TEST(CatalogQueryTest, SysCatalogListsEveryClassIncludingItself) {
   std::set<std::string> names;
   for (const auto& row : r.value().rows) names.insert(row[0].AsString());
   for (const char* expected :
-       {"sys.catalog", "sys.metrics", "sys.requests", "sys.contention",
-        "sys.cache", "sys.replication", "sys.snapshots", "sys.classes",
-        "sys.storage"}) {
+       {"sys.catalog", "sys.metrics", "sys.requests", "sys.slowlog",
+        "sys.contention", "sys.contention_window", "sys.cache",
+        "sys.replication", "sys.snapshots", "sys.classes", "sys.storage"}) {
     EXPECT_EQ(names.count(expected), 1u) << expected;
   }
 }
@@ -268,6 +268,39 @@ TEST(CatalogQueryTest, ProfileShowsCatalogMaterialization) {
   EXPECT_NE(r.text.find("catalog materialization of sys.metrics"),
             std::string::npos)
       << r.text;
+}
+
+TEST(CatalogQueryTest, QueryCatalogRunsFixedQueriesAndRefusesOthers) {
+  auto db = MakePartsDb();
+  Server::Options options;
+  options.slow_query_micros = 0;  // every query is slow
+  Server server(db.get(), options);
+  Client client(&server);
+  ASSERT_TRUE(client.Query("select p from Part p").ok());
+
+  const auto plans_before = server.query_cache().plans().stats();
+  // SelectAll projects every attribute under its own column name.
+  Response slow = server.QueryCatalog(
+      server.system_catalog().SelectAll("sys.slowlog"));
+  ASSERT_TRUE(slow.ok()) << slow.status.ToString();
+  EXPECT_EQ(slow.result.columns,
+            (std::vector<std::string>{"request_id", "trace_id", "query",
+                                      "micros", "queue_micros",
+                                      "guard_wait_micros", "execute_micros",
+                                      "profile"}));
+  ASSERT_EQ(slow.result.rows.size(), 1u);
+  EXPECT_EQ(slow.result.rows[0][2].AsString(), "select p from Part p");
+  EXPECT_NE(slow.result.rows[0][7].AsString().find("extent scan"),
+            std::string::npos);
+  // Introspection leaves the plan cache user queries share alone.
+  const auto plans_after = server.query_cache().plans().stats();
+  EXPECT_EQ(plans_after.entries, plans_before.entries);
+  EXPECT_EQ(plans_after.misses, plans_before.misses);
+
+  // A query naming no sys.* class is refused: it would bypass admission.
+  Response refused = server.QueryCatalog("select p from Part p");
+  EXPECT_EQ(refused.status.code(), Status::Code::kInvalidArgument);
+  EXPECT_TRUE(refused.result.rows.empty());
 }
 
 // --------------------------------------------------------------- errors

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/result.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/value.h"
 
@@ -63,6 +64,27 @@ TEST(ResultTest, AssignOrReturnMacro) {
   EXPECT_EQ(out, 5);
   Status st = UseAssignOrReturn(7, &out);
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+}
+
+TEST(JsonWriterTest, EscapesEveryControlByte) {
+  // RFC 8259 §7: quote, backslash and all of U+0000..U+001F must be
+  // escaped; DEL and UTF-8 bytes pass through.
+  std::string raw = "q\"b\\";
+  for (int c = 0; c < 0x20; ++c) raw += static_cast<char>(c);
+  raw += "\x7f\xc3\xa9";
+  stats::JsonWriter w;
+  w.BeginArray().String(raw).EndArray();
+  EXPECT_EQ(w.str(),
+            "[\"q\\\"b\\\\"
+            "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+            "\x7f\xc3\xa9\"]");
+  // Keys go through the same escaper.
+  stats::JsonWriter k;
+  k.BeginObject().Key(std::string("a\x01", 2)).Int(1).EndObject();
+  EXPECT_EQ(k.str(), "{\"a\\u0001\":1}");
 }
 
 TEST(ValueTest, TypesAndAccessors) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -33,8 +34,8 @@ using prometheus::ValueType;
 using prometheus::obs::GuardInstruments;
 using prometheus::obs::Histogram;
 using prometheus::obs::Registry;
-using prometheus::obs::RenderContentionJson;
-using prometheus::obs::RenderContentionText;
+using prometheus::obs::ContentionStat;
+using prometheus::obs::SnapshotContention;
 using prometheus::obs::SnapshotDelta;
 using prometheus::obs::ThreadWait;
 using prometheus::obs::WaitInstruments;
@@ -210,45 +211,96 @@ TEST(ThreadWaitAccumulatorTest, ResetsAndAccumulatesPerThread) {
 
 // ----------------------------------------------------- contention report
 
-TEST(ContentionReportTest, JsonListsEveryWaitState) {
+/// The statistics of `state` in `stats` (a failed lookup is a test error).
+ContentionStat StatFor(const std::vector<ContentionStat>& stats,
+                       const std::string& state) {
+  for (const ContentionStat& s : stats) {
+    if (s.state == state) return s;
+  }
+  ADD_FAILURE() << state << " missing from the report";
+  return {};
+}
+
+TEST(ContentionReportTest, ReportListsEveryWaitStateInOrder) {
   Registry().ResetForTest();
-  const std::string json = RenderContentionJson(/*windowed=*/false);
+  const std::vector<ContentionStat> stats = SnapshotContention();
+  std::vector<std::string> states;
+  for (const ContentionStat& s : stats) states.push_back(s.state);
+  std::vector<std::string> want;
   for (WaitState s :
        {WaitState::kAdmission, WaitState::kQueue, WaitState::kGuardShared,
         WaitState::kGuardExclusive, WaitState::kExecute,
         WaitState::kJournalAppend, WaitState::kJournalSync,
         WaitState::kSerialize}) {
-    EXPECT_NE(json.find("\"" + std::string(WaitStateName(s)) + "\""),
-              std::string::npos)
-        << json;
+    want.push_back(WaitStateName(s));
   }
-  EXPECT_NE(json.find("\"windowed\":false"), std::string::npos);
-  EXPECT_NE(json.find("\"blocked_readers\""), std::string::npos);
-  EXPECT_NE(json.find("\"writer_last_hold_micros\""), std::string::npos);
+  EXPECT_EQ(states, want);
 }
 
 TEST(ContentionReportTest, WindowedReportCoversOnlyTheInterval) {
   Registry().ResetForTest();
   const WaitInstruments& w = WaitInstruments::Get();
   w.execute->Observe(100);
-  (void)RenderContentionJson(/*windowed=*/true);  // consume the window
-  const std::string empty_window = RenderContentionJson(/*windowed=*/true);
+  (void)SnapshotContention(/*windowed=*/true);  // consume the window
   // Nothing happened between the two windowed calls: execute reports 0.
-  EXPECT_NE(empty_window.find("\"execute\":{\"count\":0"), std::string::npos)
-      << empty_window;
+  EXPECT_EQ(StatFor(SnapshotContention(/*windowed=*/true), "execute").count,
+            0u);
 
   w.execute->Observe(250);
-  const std::string busy_window = RenderContentionJson(/*windowed=*/true);
-  EXPECT_NE(busy_window.find("\"execute\":{\"count\":1"), std::string::npos)
-      << busy_window;
+  const ContentionStat busy =
+      StatFor(SnapshotContention(/*windowed=*/true), "execute");
+  EXPECT_EQ(busy.count, 1u);
+  EXPECT_DOUBLE_EQ(busy.total_micros, 250.0);
+  // The cumulative report neither consumed nor reset the window's source.
+  EXPECT_EQ(StatFor(SnapshotContention(), "execute").count, 2u);
 }
 
-TEST(ContentionReportTest, TextTableRendersAllStatesAndGuardLine) {
+TEST(ContentionReportTest, CatalogServesBothViewsAndTheGuardGauges) {
   Registry().ResetForTest();
-  const std::string text = RenderContentionText(/*windowed=*/false);
-  EXPECT_NE(text.find("guard_shared"), std::string::npos);
-  EXPECT_NE(text.find("journal_sync"), std::string::npos);
-  EXPECT_NE(text.find("blocked_readers="), std::string::npos);
+  std::unique_ptr<Database> db = MakePartsDb(4);
+  Server server(db.get(), Server::Options{});
+  Client client(&server);
+
+  const std::string window_q =
+      "select c.windowed, c.count from sys.contention_window c "
+      "where c.state = 'queue'";
+  Response consumed = server.QueryCatalog(window_q);  // open a fresh window
+  ASSERT_TRUE(consumed.ok()) << consumed.status.ToString();
+  Response empty = server.QueryCatalog(window_q);
+  ASSERT_EQ(empty.result.rows.size(), 1u);
+  EXPECT_TRUE(empty.result.rows[0][0].AsBool());
+  EXPECT_EQ(empty.result.rows[0][1].AsInt(), 0);
+  // A request through the queue lands in the next window.
+  ASSERT_TRUE(client.Query("select p from Part p").ok());
+  Response busy = server.QueryCatalog(window_q);
+  ASSERT_EQ(busy.result.rows.size(), 1u);
+  EXPECT_EQ(busy.result.rows[0][1].AsInt(), 1);
+
+  Response cumulative = server.QueryCatalog(
+      "select c.windowed, c.state from sys.contention c");
+  ASSERT_TRUE(cumulative.ok());
+  ASSERT_EQ(cumulative.result.rows.size(), 8u);
+  EXPECT_FALSE(cumulative.result.rows[0][0].AsBool());
+  EXPECT_EQ(cumulative.result.rows[2][1].AsString(), "guard_shared");
+
+  // The guard gauges are sys.metrics rows.
+  (void)GuardInstruments::Get();
+  Response gauges = server.QueryCatalog(
+      "select m.name from sys.metrics m where m.kind = 'gauge' and "
+      "starts_with(m.name, 'guard_')");
+  ASSERT_TRUE(gauges.ok()) << gauges.status.ToString();
+  std::vector<std::string> names;
+  for (const auto& row : gauges.result.rows) {
+    names.push_back(row[0].AsString());
+  }
+  for (const char* gauge :
+       {"guard_blocked_readers", "guard_blocked_writers", "guard_writer_held",
+        "guard_writer_last_hold_micros",
+        "guard_writer_longest_wait_micros"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), gauge), names.end())
+        << gauge;
+  }
+  server.Shutdown();
 }
 
 // -------------------------------------------- server-side wait breakdown

@@ -1,12 +1,15 @@
 // The remote telemetry plane (src/net/): the HTTP/1.1 message parser's
 // conformance and limits, the strict Prometheus exposition parser the CI
 // smoke job reuses, and end-to-end socket tests of every route the
-// front-end mounts — including the load-bearing guarantee that a /metrics
-// scrape completes while a writer holds the database's exclusive guard.
+// front-end mounts — including the load-bearing guarantee that every
+// telemetry route answers while a writer holds the database's exclusive
+// guard or the work queue is saturated.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -49,6 +52,44 @@ AttributeDef Attr(std::string name, ValueType type) {
   def.type = type;
   return def;
 }
+
+/// A string value as it appears in a row of the /query envelope: the cell
+/// is the POOL rendering (double-quoted), then JSON-escaped.
+std::string StrCell(const std::string& value) {
+  return "\"\\\"" + value + "\\\"\"";
+}
+
+/// Number of rows in a /query envelope body: the arrays nested directly in
+/// "rows", counted outside string literals.
+std::size_t RowCount(const std::string& body) {
+  const std::size_t at = body.find("\"rows\":[");
+  if (at == std::string::npos) return 0;
+  std::size_t rows = 0;
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = at + 7; i < body.size(); ++i) {
+    const char c = body[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '[') {
+      if (++depth == 2) ++rows;
+    } else if (c == ']' && --depth == 0) {
+      break;
+    }
+  }
+  return rows;
+}
+
+/// The routes served as fixed sys.* queries.
+constexpr const char* kCatalogRoutes[] = {
+    "/stats", "/slowlog", "/debug/requests", "/debug/requests?limit=1",
+    "/debug/contention", "/debug/contention?window=1"};
 
 std::unique_ptr<Database> MakePartsDb(int rows = 8) {
   auto db = std::make_unique<Database>();
@@ -354,7 +395,8 @@ TEST_F(NetTest, MetricsScrapeIsConformant) {
 
 TEST_F(NetTest, MetricsScrapeCompletesWhileWriterHoldsExclusiveGuard) {
   // The load-bearing guarantee: telemetry routes never touch the database
-  // guard, so a scrape succeeds while a writer is mid-mutation.
+  // guard, so a scrape succeeds while a writer is mid-mutation. The
+  // catalog routes read sys.* through a pinned snapshot.
   std::atomic<bool> release{false};
   std::thread writer([&] {
     Database::WriteGuard guard(*db_);
@@ -369,11 +411,76 @@ TEST_F(NetTest, MetricsScrapeCompletesWhileWriterHoldsExclusiveGuard) {
   EXPECT_EQ(metrics.status_code, 200);
   const HttpResponse health = Fetch("GET", "/health");
   EXPECT_EQ(health.status_code, 200);
-  const HttpResponse recents = Fetch("GET", "/debug/requests");
-  EXPECT_EQ(recents.status_code, 200);
+  for (const char* route : kCatalogRoutes) {
+    const HttpResponse resp = Fetch("GET", route);
+    EXPECT_EQ(resp.status_code, 200) << route << ": " << resp.body;
+    EXPECT_NE(resp.body.find("\"code\":\"ok\""), std::string::npos) << route;
+  }
 
   release.store(true);
   writer.join();
+}
+
+TEST(NetSaturationTest, EveryTelemetryRouteAnswersWhileTheQueueIsFull) {
+  auto db = MakePartsDb();
+  Server::Options options;
+  options.worker_threads = 1;
+  options.queue_capacity = 2;
+  Server server(db.get(), options);
+  HttpFrontEnd front(&server, HttpFrontEnd::Options{});
+  ASSERT_TRUE(front.Start().ok());
+
+  // Park the only worker inside a mutation (which also holds the write
+  // guard), then fill the queue until admission refuses.
+  std::atomic<bool> running{false};
+  std::atomic<bool> release{false};
+  auto session = server.Connect();
+  auto parked = session->Submit(
+      prometheus::server::Request::Custom([&](Database&) {
+        running.store(true);
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return Status::Ok();
+      }));
+  while (!running.load()) std::this_thread::yield();
+  std::vector<std::future<prometheus::server::Response>> queued;
+  bool refused = false;
+  for (int i = 0; i < 16 && !refused; ++i) {
+    auto f = session->Submit(prometheus::server::Request::Query(
+        "select p from Part p where p.a = " + std::to_string(i)));
+    if (f.wait_for(std::chrono::milliseconds(0)) ==
+        std::future_status::ready) {
+      refused = f.get().code == prometheus::server::ResponseCode::kRejected;
+    } else {
+      queued.push_back(std::move(f));
+    }
+  }
+  ASSERT_TRUE(refused) << "the queue never filled";
+  auto fetch = [&](const std::string& target) {
+    auto r = HttpFetch("127.0.0.1", front.port(), "GET", target);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? std::move(r).value() : HttpResponse{};
+  };
+  // A query over the wire is refused...
+  auto post = HttpFetch("127.0.0.1", front.port(), "POST", "/query",
+                        "select p.name from Part p where p.a > 100");
+  ASSERT_TRUE(post.ok());
+  EXPECT_EQ(post.value().status_code, 429);
+  // ...while every telemetry route still answers.
+  for (const char* route : kCatalogRoutes) {
+    const HttpResponse resp = fetch(route);
+    EXPECT_EQ(resp.status_code, 200) << route << ": " << resp.body;
+    EXPECT_NE(resp.body.find("\"code\":\"ok\""), std::string::npos) << route;
+  }
+  EXPECT_EQ(fetch("/metrics").status_code, 200);
+  EXPECT_EQ(fetch("/health").status_code, 200);
+
+  release.store(true);
+  EXPECT_TRUE(parked.get().ok());
+  for (auto& f : queued) EXPECT_TRUE(f.get().ok());
+  front.Stop();
+  server.Shutdown();
 }
 
 TEST_F(NetTest, HealthAndStatsCarryServerEpoch) {
@@ -382,11 +489,15 @@ TEST_F(NetTest, HealthAndStatsCarryServerEpoch) {
   EXPECT_NE(health.body.find("\"server_epoch\":" +
                              std::to_string(server_->server_epoch())),
             std::string::npos);
+  // /stats is sys.metrics; the epoch is this server's own gauge row
+  // (name, kind, value are the first three columns).
   const HttpResponse stats = Fetch("GET", "/stats");
   EXPECT_EQ(stats.status_code, 200);
-  EXPECT_NE(stats.body.find("\"server_epoch\":" +
-                            std::to_string(server_->server_epoch())),
-            std::string::npos);
+  EXPECT_NE(stats.body.find("[" + StrCell("server_epoch") + "," +
+                            StrCell("gauge") + ",\"" +
+                            std::to_string(server_->server_epoch()) + "\""),
+            std::string::npos)
+      << stats.body;
 }
 
 TEST_F(NetTest, PostQueryReturnsRows) {
@@ -475,10 +586,14 @@ TEST_F(NetTest, FlightRecorderSurfacesServedRequests) {
       200);
   const HttpResponse recents = Fetch("GET", "/debug/requests");
   EXPECT_EQ(recents.status_code, 200);
-  EXPECT_NE(recents.body.find("\"type\":\"query\""), std::string::npos);
+  EXPECT_NE(recents.body.find(StrCell("query")), std::string::npos);
   EXPECT_NE(recents.body.find("select p.name"), std::string::npos);
-  // The profiled request kept its per-stage span tree.
-  EXPECT_NE(recents.body.find("\"stages\""), std::string::npos);
+  // The profiled request kept its per-stage span tree: a stages cell
+  // holds the rendered tree, whose root line is "query: <text>".
+  EXPECT_NE(recents.body.find("\"stages\"]"), std::string::npos);
+  EXPECT_NE(recents.body.find("\"\\\"query: select p.name"),
+            std::string::npos)
+      << recents.body;
 }
 
 TEST_F(NetTest, TraceIdRoundTripsAndFiltersDebugRequests) {
@@ -497,13 +612,15 @@ TEST_F(NetTest, TraceIdRoundTripsAndFiltersDebugRequests) {
 
   const HttpResponse filtered = Fetch("GET", "/debug/requests?id=t-123");
   EXPECT_EQ(filtered.status_code, 200);
-  EXPECT_NE(filtered.body.find("\"trace_id\":\"t-123\""), std::string::npos);
+  EXPECT_NE(filtered.body.find(StrCell("t-123")), std::string::npos);
+  EXPECT_EQ(RowCount(filtered.body), 1u) << filtered.body;
   EXPECT_EQ(filtered.body.find("select p from Part p"), std::string::npos)
       << filtered.body;
-  // An id nothing matches yields an empty array, not a 404.
+  // An id nothing matches yields an empty row set, not a 404.
   const HttpResponse none = Fetch("GET", "/debug/requests?id=absent");
   EXPECT_EQ(none.status_code, 200);
-  EXPECT_EQ(none.body, "[]");
+  EXPECT_NE(none.body.find("\"rows\":[]"), std::string::npos) << none.body;
+  EXPECT_EQ(RowCount(none.body), 0u);
 }
 
 TEST_F(NetTest, TraceIdAssignedWhenAbsent) {
@@ -537,29 +654,38 @@ TEST_F(NetTest, TracedTelemetryGetsAreRecordedAndEchoed) {
   ASSERT_NE(resp.Header("x-trace-id"), nullptr);
   EXPECT_EQ(*resp.Header("x-trace-id"), "probe-7");
   const HttpResponse filtered = Fetch("GET", "/debug/requests?id=probe-7");
-  EXPECT_NE(filtered.body.find("\"trace_id\":\"probe-7\""),
-            std::string::npos);
+  EXPECT_NE(filtered.body.find(StrCell("probe-7")), std::string::npos);
   EXPECT_NE(filtered.body.find("GET /health"), std::string::npos);
 }
 
 TEST_F(NetTest, DebugContentionServesCumulativeAndWindowedReports) {
   ASSERT_EQ(Fetch("POST", "/query", "select p.name from Part p").status_code,
             200);
+  // sys.contention: every row's first column (windowed) is false.
   const HttpResponse report = Fetch("GET", "/debug/contention");
   EXPECT_EQ(report.status_code, 200);
-  EXPECT_NE(report.body.find("\"windowed\":false"), std::string::npos);
+  EXPECT_NE(report.body.find("\"columns\":[\"windowed\",\"state\""),
+            std::string::npos)
+      << report.body;
+  EXPECT_NE(report.body.find("\"rows\":[[\"false\","), std::string::npos);
+  EXPECT_EQ(report.body.find("[\"true\","), std::string::npos);
+  EXPECT_EQ(RowCount(report.body), 8u);
   for (const char* state :
        {"admission", "queue", "guard_shared", "guard_exclusive", "execute",
         "journal_append", "journal_sync", "serialize"}) {
-    EXPECT_NE(report.body.find("\"" + std::string(state) + "\""),
-              std::string::npos)
+    EXPECT_NE(report.body.find(StrCell(state)), std::string::npos)
         << state << " missing from " << report.body;
   }
-  EXPECT_NE(report.body.find("\"blocked_readers\""), std::string::npos);
+  // The guard gauges are sys.metrics rows.
+  EXPECT_NE(Fetch("GET", "/stats").body.find(StrCell("guard_blocked_readers")),
+            std::string::npos);
 
+  // sys.contention_window: every row's windowed column is true.
   const HttpResponse windowed = Fetch("GET", "/debug/contention?window=1");
   EXPECT_EQ(windowed.status_code, 200);
-  EXPECT_NE(windowed.body.find("\"windowed\":true"), std::string::npos);
+  EXPECT_NE(windowed.body.find("\"rows\":[[\"true\","), std::string::npos);
+  EXPECT_EQ(windowed.body.find("[\"false\","), std::string::npos);
+  EXPECT_EQ(RowCount(windowed.body), 8u);
   // Wrong verb on the new route answers 405 like its siblings.
   EXPECT_EQ(Fetch("POST", "/debug/contention", "x").status_code, 405);
 }
@@ -567,17 +693,15 @@ TEST_F(NetTest, DebugContentionServesCumulativeAndWindowedReports) {
 TEST_F(NetTest, DebugRequestsValidatesTheLimitParameter) {
   ASSERT_EQ(Fetch("POST", "/query", "select p.name from Part p").status_code,
             200);
-  // A valid limit trims to the N most recent entries: exactly one "id"
-  // key survives however many requests ran before.
+  ASSERT_EQ(Fetch("POST", "/query", "select p from Part p").status_code, 200);
+  // A valid limit trims to the N most recent entries: exactly one row
+  // survives however many requests ran before, and it is the newest.
   const HttpResponse limited = Fetch("GET", "/debug/requests?limit=1");
   EXPECT_EQ(limited.status_code, 200);
-  const std::string id_key = "\"id\":";
-  std::size_t ids = 0;
-  for (std::size_t at = limited.body.find(id_key); at != std::string::npos;
-       at = limited.body.find(id_key, at + id_key.size())) {
-    ++ids;
-  }
-  EXPECT_EQ(ids, 1u) << limited.body;
+  EXPECT_EQ(RowCount(limited.body), 1u) << limited.body;
+  EXPECT_NE(limited.body.find("select p from Part p"), std::string::npos)
+      << limited.body;
+  EXPECT_GE(RowCount(Fetch("GET", "/debug/requests").body), 2u);
   // Malformed or out-of-range values answer 400, not a silent default.
   for (const char* bad :
        {"limit=0", "limit=-1", "limit=abc", "limit=", "limit=1e3",
@@ -588,6 +712,31 @@ TEST_F(NetTest, DebugRequestsValidatesTheLimitParameter) {
     EXPECT_NE(resp.body.find("limit must be an integer"), std::string::npos)
         << bad;
   }
+}
+
+TEST_F(NetTest, DebugRequestsRefusesIdsOutsideTheTraceIdAlphabet) {
+  // The id lands in a POOL string literal; only trace-id characters pass.
+  for (const char* bad : {"id=a'b", "id=x'%20or%20'1'='1", "id=a%27b",
+                          "id=", "id=a\\b"}) {
+    const HttpResponse resp =
+        Fetch("GET", std::string("/debug/requests?") + bad);
+    EXPECT_EQ(resp.status_code, 400) << bad << ": " << resp.body;
+    EXPECT_NE(resp.body.find("id must be a trace id"), std::string::npos)
+        << bad;
+  }
+  // The server keeps serving.
+  EXPECT_EQ(Fetch("GET", "/debug/requests?id=ok-1").status_code, 200);
+  EXPECT_EQ(Fetch("GET", "/health").status_code, 200);
+}
+
+TEST_F(NetTest, QueryBodiesEscapeControlBytes) {
+  // A string literal holding 0x01 is echoed in the row; the body must
+  // carry it as \u0001, never as a raw control byte (RFC 8259 §7).
+  const HttpResponse resp =
+      Fetch("POST", "/query", "select 'a\x01" "b' as s from Part p limit 1");
+  EXPECT_EQ(resp.status_code, 200) << resp.body;
+  EXPECT_NE(resp.body.find("a\\u0001b"), std::string::npos) << resp.body;
+  EXPECT_EQ(resp.body.find('\x01'), std::string::npos);
 }
 
 TEST_F(NetTest, DebugContentionValidatesTheWindowParameter) {

@@ -1,10 +1,11 @@
 // The observability subsystem (src/obs/): registry get-or-create
 // semantics, histogram bucket arithmetic, concurrent snapshotting (the
-// TSan target), rendering, span traces, the PROFILE / kStats server
+// TSan target), rendering, span traces, the PROFILE and sys.metrics server
 // surfaces, the slow-query log and the metrics kill switch.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -43,7 +44,6 @@ using prometheus::server::Client;
 using prometheus::server::Request;
 using prometheus::server::Response;
 using prometheus::server::Server;
-using prometheus::server::StatsFormat;
 
 AttributeDef Attr(std::string name, ValueType type) {
   AttributeDef def;
@@ -209,8 +209,8 @@ TEST(HistogramTest, SnapshotWhileMutatingIsSafe) {
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
       MetricsSnapshot snap = reg.Snapshot();
-      std::string json = RenderJson(snap);
-      EXPECT_FALSE(json.empty());
+      std::string text = prometheus::obs::RenderPrometheusText(snap);
+      EXPECT_FALSE(text.empty());
     }
   });
   for (std::thread& w : writers) w.join();
@@ -240,30 +240,6 @@ TEST(RenderingTest, PrometheusTextCarriesLabelsAndBuckets) {
             std::string::npos);
   EXPECT_NE(text.find("lat_micros_count{type=\"query\"} 1"),
             std::string::npos);
-}
-
-TEST(RenderingTest, JsonSnapshotIsWellFormedEnough) {
-  MetricsRegistry reg;
-  reg.GetCounter("a_total")->Increment();
-  reg.GetGauge("b")->Set(5);
-  reg.GetHistogram("c_micros")->Observe(3);
-  std::string json = reg.RenderJson();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"a_total\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
-}
-
-TEST(RenderingTest, JsonExtraLeadingMembersStayValidOnEmptySnapshot) {
-  // The server composes `server_epoch` through this parameter; with an
-  // empty registry the old string-splice produced `{"server_epoch":N,}`.
-  prometheus::obs::MetricsSnapshot empty;
-  const std::string json =
-      prometheus::obs::RenderJson(empty, {{"server_epoch", 42}});
-  EXPECT_EQ(json,
-            "{\"server_epoch\":42,\"counters\":{},\"gauges\":{},"
-            "\"histograms\":{}}");
 }
 
 // ----------------------------------------------------------- kill switch
@@ -366,18 +342,28 @@ TEST(ServerObsTest, StatsRoundTripAfterMixedWorkload) {
                                            {"a", Value::Int(99)}})
                   .ok());
 
-  auto json = client.Stats();
-  ASSERT_TRUE(json.ok()) << json.status().ToString();
-  // Query, event, and server families all appear after a mixed workload.
-  EXPECT_NE(json.value().find("pool_queries_total"), std::string::npos);
-  EXPECT_NE(json.value().find("events_published_total"), std::string::npos);
-  EXPECT_NE(json.value().find("server_requests_total"), std::string::npos);
-  EXPECT_NE(json.value().find("server_worker_requests_total"),
-            std::string::npos);
+  // What /stats serves: sys.metrics through the catalog path.
+  Response stats = server.QueryCatalog(
+      server.system_catalog().SelectAll("sys.metrics"));
+  ASSERT_TRUE(stats.ok()) << stats.status.ToString();
+  std::vector<std::string> names;
+  for (const auto& row : stats.result.rows) {
+    names.push_back(row[0].AsString());
+  }
+  // Query, event, and server families (labelled or not) all appear after
+  // a mixed workload.
+  for (const std::string family :
+       {"pool_queries_total", "events_published_total",
+        "server_requests_total", "server_worker_requests_total"}) {
+    EXPECT_TRUE(std::any_of(names.begin(), names.end(),
+                            [&family](const std::string& name) {
+                              return name.rfind(family, 0) == 0;
+                            }))
+        << family;
+  }
 
-  auto text = client.Stats(StatsFormat::kPrometheusText);
-  ASSERT_TRUE(text.ok());
-  EXPECT_NE(text.value().find("# TYPE pool_queries_total counter"),
+  const std::string text = Registry().RenderPrometheusText();
+  EXPECT_NE(text.find("# TYPE pool_queries_total counter"),
             std::string::npos);
 
   server.Shutdown();
@@ -584,10 +570,18 @@ TEST(ServerObsTest, FlightRecorderTracesServedRequests) {
   EXPECT_EQ(entries[2].type, "mutation");
   EXPECT_NE(entries[2].detail.find("create Part"), std::string::npos);
 
-  const std::string json =
-      prometheus::obs::RenderFlightRecorderJson(entries);
-  EXPECT_NE(json.find("\"type\":\"query\""), std::string::npos);
-  EXPECT_NE(json.find("\"stages\""), std::string::npos);
+  // The same entries through sys.requests: recording order in `seq`, and
+  // the profiled query's span tree in `stages`.
+  Response rows = server.QueryCatalog(
+      "select r.seq, r.type, r.stages from sys.requests r order by r.seq");
+  ASSERT_TRUE(rows.ok()) << rows.status.ToString();
+  ASSERT_EQ(rows.result.rows.size(), 3u);
+  EXPECT_EQ(rows.result.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(rows.result.rows[2][0].AsInt(), 3);
+  EXPECT_EQ(rows.result.rows[0][1].AsString(), "query");
+  EXPECT_EQ(rows.result.rows[0][2].AsString(), "");
+  EXPECT_NE(rows.result.rows[1][2].AsString().find("execute"),
+            std::string::npos);
 }
 
 // ----------------------------------------------- exposition conformance
@@ -599,24 +593,30 @@ TEST(ServerObsTest, PrometheusStatsAreConformantAndCarryServerEpoch) {
   Client client(&server);
   ASSERT_TRUE(client.Query("select p from Part p").ok());
 
-  auto text = client.Stats(StatsFormat::kPrometheusText);
-  ASSERT_TRUE(text.ok());
+  prometheus::obs::UpdateProcessUptime();
+  const std::string text = Registry().RenderPrometheusText();
   prometheus::testing::PromExposition exposition;
   const std::string error =
-      prometheus::testing::ParsePrometheusText(text.value(), &exposition);
-  EXPECT_TRUE(error.empty()) << error << "\n--- payload ---\n"
-                             << text.value();
-  const auto* epoch = exposition.FindSample("server_epoch");
-  ASSERT_NE(epoch, nullptr);
-  EXPECT_EQ(epoch->value, static_cast<double>(server.server_epoch()));
+      prometheus::testing::ParsePrometheusText(text, &exposition);
+  EXPECT_TRUE(error.empty()) << error << "\n--- payload ---\n" << text;
+  // server_epoch is per server, so it is a row of this server's
+  // sys.metrics (what /stats serves) rather than a registry gauge.
+  Response epoch = server.QueryCatalog(
+      "select m.kind, m.value from sys.metrics m "
+      "where m.name = 'server_epoch'");
+  ASSERT_TRUE(epoch.ok()) << epoch.status.ToString();
+  ASSERT_EQ(epoch.result.rows.size(), 1u);
+  EXPECT_EQ(epoch.result.rows[0][0].AsString(), "gauge");
+  EXPECT_EQ(epoch.result.rows[0][1].AsInt(),
+            static_cast<std::int64_t>(server.server_epoch()));
   EXPECT_NE(exposition.Find("prometheus_build_info"), nullptr);
   EXPECT_NE(exposition.Find("process_uptime_seconds"), nullptr);
   server.Shutdown();
 }
 
 TEST(ServerObsTest, StatsResolveWhileWriterHoldsExclusiveGuard) {
-  // kStats reads only the registry and the lock-free epoch counter; it
-  // must resolve while another thread holds the exclusive guard.
+  // Catalog queries run on the caller's thread against a pinned snapshot;
+  // they must resolve while another thread holds the exclusive guard.
   std::unique_ptr<Database> db = MakePartsDb(4);
   Server server(db.get(), Server::Options{});
   Client client(&server);
@@ -630,8 +630,16 @@ TEST(ServerObsTest, StatsResolveWhileWriterHoldsExclusiveGuard) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
-  auto text = client.Stats(StatsFormat::kPrometheusText);
-  EXPECT_TRUE(text.ok());
+  Response stats = server.QueryCatalog(
+      server.system_catalog().SelectAll("sys.metrics"));
+  EXPECT_TRUE(stats.ok()) << stats.status.ToString();
+  // The schema-reading classes go through the snapshot, not the live
+  // database the writer holds.
+  Response storage = server.QueryCatalog(
+      "select s.rows from sys.storage s where s.class = 'Part'");
+  ASSERT_TRUE(storage.ok()) << storage.status.ToString();
+  ASSERT_EQ(storage.result.rows.size(), 1u);
+  EXPECT_EQ(storage.result.rows[0][0].AsInt(), 4);
   Response health = client.Call(Request::Health());
   EXPECT_TRUE(health.ok());
 

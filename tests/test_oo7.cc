@@ -107,8 +107,8 @@ TEST(Oo7Test, S2CascadesAtomicParts) {
 TEST(Oo7Test, RepeatedS1ThenS2KeepBothStoresEqual) {
   // The benchmark's structural rounds: S1 then S2, again and again, on one
   // pair of databases. Both sides must delete the same composites every
-  // time, so traversals and range queries keep agreeing. (Q4 is left out:
-  // it samples atomic parts in extent order, which deletions permute.)
+  // time, so traversals, range queries and the reverse traversal Q4 keep
+  // agreeing.
   Config config = SmallConfig();
   PrometheusOo7 prom(config);
   BaselineOo7 base(config);
@@ -125,6 +125,7 @@ TEST(Oo7Test, RepeatedS1ThenS2KeepBothStoresEqual) {
     const OpCounts pt5 = prom.TraverseT5(round);
     const OpCounts bt5 = base.TraverseT5(round);
     EXPECT_EQ(pt5.visited, bt5.visited) << "round " << round;
+    EXPECT_EQ(prom.ReverseQ4(50), base.ReverseQ4(50)) << "round " << round;
   }
 }
 
