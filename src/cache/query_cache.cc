@@ -16,6 +16,8 @@ std::vector<std::pair<std::string, std::string>> QueryCacheStats::Fields()
   out.emplace_back("result_entries", std::to_string(result.entries));
   out.emplace_back("result_bytes", std::to_string(result.bytes) + "/" +
                                        std::to_string(result.max_bytes));
+  out.emplace_back("result_shards", std::to_string(result.shards));
+  out.emplace_back("result_inserts", std::to_string(result.inserts));
   out.emplace_back("result_evictions", std::to_string(result.evictions));
   out.emplace_back("result_invalidations",
                    std::to_string(result.invalidations));
@@ -23,40 +25,10 @@ std::vector<std::pair<std::string, std::string>> QueryCacheStats::Fields()
   out.emplace_back("plan_hits", std::to_string(plan.hits));
   out.emplace_back("plan_misses", std::to_string(plan.misses));
   out.emplace_back("plan_entries", std::to_string(plan.entries));
+  out.emplace_back("plan_inserts", std::to_string(plan.inserts));
+  out.emplace_back("plan_evictions", std::to_string(plan.evictions));
   out.emplace_back("plan_invalidations", std::to_string(plan.invalidations));
   out.emplace_back("schema_generation", std::to_string(plan.schema_generation));
-  return out;
-}
-
-std::string QueryCache::StatsJson() const {
-  const QueryCacheStats s = Stats();
-  const PlanCache::Stats& p = s.plan;
-  const ResultCache::Stats& r = s.result;
-  char rate[32];
-  std::snprintf(rate, sizeof(rate), "%.1f", r.hit_rate_percent);
-  std::string out = "{";
-  out += "\"enabled\":" + std::string(s.enabled ? "true" : "false");
-  out += ",\"result\":{";
-  out += "\"hits\":" + std::to_string(r.hits);
-  out += ",\"misses\":" + std::to_string(r.misses);
-  out += ",\"hit_rate_percent\":" + std::string(rate);
-  out += ",\"inserts\":" + std::to_string(r.inserts);
-  out += ",\"evictions\":" + std::to_string(r.evictions);
-  out += ",\"invalidations\":" + std::to_string(r.invalidations);
-  out += ",\"oversize\":" + std::to_string(r.oversize);
-  out += ",\"entries\":" + std::to_string(r.entries);
-  out += ",\"bytes\":" + std::to_string(r.bytes);
-  out += ",\"max_bytes\":" + std::to_string(r.max_bytes);
-  out += ",\"shards\":" + std::to_string(r.shards);
-  out += "},\"plan\":{";
-  out += "\"hits\":" + std::to_string(p.hits);
-  out += ",\"misses\":" + std::to_string(p.misses);
-  out += ",\"inserts\":" + std::to_string(p.inserts);
-  out += ",\"evictions\":" + std::to_string(p.evictions);
-  out += ",\"invalidations\":" + std::to_string(p.invalidations);
-  out += ",\"entries\":" + std::to_string(p.entries);
-  out += ",\"schema_generation\":" + std::to_string(p.schema_generation);
-  out += "}}";
   return out;
 }
 

@@ -12,8 +12,8 @@
 namespace prometheus::cache {
 
 /// A point-in-time snapshot of both cache tiers plus one canonical
-/// field/value rendering. Every stats surface — `.cache stats` rows, the
-/// JSON payload, and the `sys.cache` catalog class — reads from this one
+/// field/value rendering. Every stats surface — the kCacheControl rows and
+/// the `sys.cache` catalog class that `.cache` prints — reads from this one
 /// struct, so the surfaces can never drift.
 struct QueryCacheStats {
   bool enabled = false;
@@ -22,8 +22,9 @@ struct QueryCacheStats {
 
   /// The canonical (field, rendered value) rows, in display order:
   /// enabled, result_hits, result_misses, result_hit_rate, result_entries,
-  /// result_bytes, result_evictions, result_invalidations, result_oversize,
-  /// plan_hits, plan_misses, plan_entries, plan_invalidations,
+  /// result_bytes, result_shards, result_inserts, result_evictions,
+  /// result_invalidations, result_oversize, plan_hits, plan_misses,
+  /// plan_entries, plan_inserts, plan_evictions, plan_invalidations,
   /// schema_generation.
   std::vector<std::pair<std::string, std::string>> Fields() const;
 };
@@ -91,10 +92,6 @@ class QueryCache {
     s.plan = plans_.stats();
     return s;
   }
-
-  /// Both tiers' stats as one JSON object (the `.cache` / kCacheControl
-  /// payload).
-  std::string StatsJson() const;
 
  private:
   PlanCache plans_;

@@ -19,16 +19,17 @@ namespace prometheus::cache {
 /// (query text, database epoch) -> materialized ResultSet, sharded LRU.
 ///
 /// Correctness contract — epoch validation, not explicit invalidation:
-/// every entry remembers the epoch its result was materialized at, pinned
-/// by the inserting worker's `Database::ReadGuard`. A lookup presents the
-/// *current* `Database::epoch()` (a lock-free acquire load); the entry
-/// serves only when the two are equal. The write guard's destructor bumps
-/// the epoch after every exclusive section — data mutations, DDL, journal
-/// application on a replica, rebootstrap — so any committed change
-/// implicitly invalidates every cached result at once, with no bookkeeping
-/// on the write path. Equality means no write section completed since the
-/// result was built, so a hit is indistinguishable from re-executing under
-/// a fresh read guard: the one read path that never touches the guard.
+/// every entry is stamped with the epoch of the snapshot its result was
+/// computed from (the ran-at epoch, never the epoch at insert time, which
+/// a writer may already have moved). A lookup presents the *current*
+/// `Database::epoch()` (a lock-free acquire load); the entry serves only
+/// when the two are equal. The write guard's destructor publishes a
+/// snapshot and bumps the epoch after every exclusive section — data
+/// mutations, DDL, journal application on a replica, rebootstrap — so any
+/// committed change implicitly invalidates every cached result at once,
+/// with no bookkeeping on the write path. Equality means no write section
+/// completed since that snapshot was published, so a hit is
+/// indistinguishable from re-executing against a freshly pinned one.
 ///
 /// Stale entries are erased lazily by the lookup that discovers them.
 ///

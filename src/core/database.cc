@@ -4,7 +4,6 @@
 #include <deque>
 #include <unordered_set>
 
-#include "core/read_algorithms.h"
 #include "obs/metrics.h"
 
 namespace prometheus {
@@ -24,7 +23,8 @@ struct MvccGauges {
     static const MvccGauges g{
         obs::Registry().GetGauge(
             "mvcc_retained_versions",
-            "Object/link versions retained by live snapshots"),
+            "Object/link versions alive: the database's own records plus "
+            "the superseded ones only snapshots still reach"),
         obs::Registry().GetGauge("mvcc_live_snapshots",
                                  "DbSnapshot instances currently alive"),
         obs::Registry().GetGauge("mvcc_pinned_snapshots",
@@ -119,8 +119,8 @@ struct Database::UndoRecord {
   Oid oid = kNullOid;
   std::size_t slot = 0;  ///< attribute slot (kSet*Attribute)
   Value old_value;
-  std::unique_ptr<Object> object_snapshot;
-  std::unique_ptr<Link> link_snapshot;
+  std::shared_ptr<Object> object_version;
+  std::shared_ptr<Link> link_version;
 };
 
 Database::Database() = default;
@@ -131,11 +131,11 @@ Database::~Database() = default;
 Result<const ClassDef*> Database::DefineClass(
     const std::string& name, const std::vector<std::string>& supers,
     std::vector<AttributeDef> attributes, bool is_abstract) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (name.empty()) {
     return Status::InvalidArgument("class name must not be empty");
   }
-  if (classes_by_name_.count(name) || rels_by_name_.count(name)) {
+  if (FindClass(name) != nullptr || FindRelationship(name) != nullptr) {
     return Status::InvalidArgument("name '" + name + "' already defined");
   }
   std::vector<const ClassDef*> super_defs;
@@ -168,18 +168,18 @@ Result<const ClassDef*> Database::DefineClass(
     cls->attributes_.push_back(std::move(a));
   }
   cls->slots_ = LayoutSlots(cls->supers_, cls->attributes_);
-  ClassDef* raw = cls.get();
+  const ClassDef* raw = cls.get();
+  SchemaTables& schema = mvcc::Unshare(schema_);
   for (const ClassDef* s : super_defs) {
     const_cast<ClassDef*>(s)->subclasses_.push_back(raw);
+    schema.subclasses[s].push_back(raw);
   }
-  classes_by_name_[name] = raw;
-  extents_[raw] = {};
-  class_storage_.push_back(std::move(cls));
-  MarkSchemaDirty();
+  schema.classes_by_name[name] = raw;
+  schema.classes.push_back(std::move(cls));
   Event ddl(EventKind::kAfterDefineClass);
   ddl.type_name = name;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(ddl));
-  return static_cast<const ClassDef*>(raw);
+  return raw;
 }
 
 Result<const RelationshipDef*> Database::DefineRelationship(
@@ -187,11 +187,11 @@ Result<const RelationshipDef*> Database::DefineRelationship(
     const std::string& target_class, RelationshipSemantics semantics,
     std::vector<AttributeDef> link_attributes,
     const std::vector<std::string>& supers) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (name.empty()) {
     return Status::InvalidArgument("relationship name must not be empty");
   }
-  if (classes_by_name_.count(name) || rels_by_name_.count(name)) {
+  if (FindClass(name) != nullptr || FindRelationship(name) != nullptr) {
     return Status::InvalidArgument("name '" + name + "' already defined");
   }
   const ClassDef* src = FindClass(source_class);
@@ -255,43 +255,42 @@ Result<const RelationshipDef*> Database::DefineRelationship(
     rel->attributes_.push_back(std::move(a));
   }
   rel->slots_ = LayoutSlots(rel->supers_, rel->attributes_);
-  RelationshipDef* raw = rel.get();
+  const RelationshipDef* raw = rel.get();
+  SchemaTables& schema = mvcc::Unshare(schema_);
   for (const RelationshipDef* s : super_defs) {
     const_cast<RelationshipDef*>(s)->subs_.push_back(raw);
+    schema.subrels[s].push_back(raw);
   }
-  rels_by_name_[name] = raw;
-  link_extents_[raw] = {};
-  rel_storage_.push_back(std::move(rel));
-  MarkSchemaDirty();
+  schema.rels_by_name[name] = raw;
+  schema.relationships.push_back(std::move(rel));
   Event ddl(EventKind::kAfterDefineRelationship);
   ddl.type_name = name;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(ddl));
-  return static_cast<const RelationshipDef*>(raw);
+  return raw;
 }
 
 Status Database::DefineMethod(const std::string& class_name,
                               MethodDef method) {
-  AssertExclusiveAccess();
-  auto it = classes_by_name_.find(class_name);
-  if (it == classes_by_name_.end()) {
+  BeginMutation();
+  const ClassDef* cls = FindClass(class_name);
+  if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
   }
   if (method.name.empty()) {
     return Status::InvalidArgument("method name must not be empty");
   }
-  if (it->second->FindMethod(method.name) != nullptr) {
+  if (cls->FindMethod(method.name) != nullptr) {
     return Status::InvalidArgument("method '" + method.name +
                                    "' already declared");
   }
-  it->second->methods_.push_back(std::move(method));
-  MarkSchemaDirty();
+  const_cast<ClassDef*>(cls)->methods_.push_back(std::move(method));
   return Status::Ok();
 }
 
 Status Database::DefineRelationshipTemplate(
     const std::string& name, RelationshipSemantics semantics,
     std::vector<AttributeDef> link_attributes) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (name.empty()) {
     return Status::InvalidArgument("template name must not be empty");
   }
@@ -310,7 +309,7 @@ Status Database::DefineRelationshipTemplate(
 Result<const RelationshipDef*> Database::InstantiateRelationship(
     const std::string& template_name, const std::string& rel_name,
     const std::string& source_class, const std::string& target_class) {
-  AssertExclusiveAccess();
+  BeginMutation();
   auto it = rel_templates_.find(template_name);
   if (it == rel_templates_.end()) {
     return Status::NotFound("unknown relationship template '" +
@@ -336,46 +335,7 @@ const std::vector<AttributeDef>* Database::FindTemplateAttributes(
   return it == rel_templates_.end() ? nullptr : &it->second.attributes;
 }
 
-const ClassDef* Database::FindClass(std::string_view name) const {
-  auto it = classes_by_name_.find(name);
-  return it == classes_by_name_.end() ? nullptr : it->second;
-}
-
-const RelationshipDef* Database::FindRelationship(
-    std::string_view name) const {
-  auto it = rels_by_name_.find(name);
-  return it == rels_by_name_.end() ? nullptr : it->second;
-}
-
-std::vector<const ClassDef*> Database::classes() const {
-  std::vector<const ClassDef*> out;
-  out.reserve(class_storage_.size());
-  for (const auto& c : class_storage_) out.push_back(c.get());
-  return out;
-}
-
-std::vector<const RelationshipDef*> Database::relationships() const {
-  std::vector<const RelationshipDef*> out;
-  out.reserve(rel_storage_.size());
-  for (const auto& r : rel_storage_) out.push_back(r.get());
-  return out;
-}
-
 // --------------------------------------------------------------- internals
-
-Object* Database::MutableObject(Oid oid) {
-  Object* obj = objects_.Find(oid);
-  // Conservative dirty mark: callers hold this pointer to mutate (or to
-  // probe — the occasional spurious version copy at publish is harmless).
-  if (obj != nullptr) MarkObjectDirty(oid);
-  return obj;
-}
-
-Link* Database::MutableLink(Oid oid) {
-  Link* link = links_.Find(oid);
-  if (link != nullptr) MarkLinkDirty(oid);
-  return link;
-}
 
 Status Database::PublishEvent(const Event& event) {
   if (!events_enabled_) return Status::Ok();
@@ -386,20 +346,19 @@ void Database::RecordUndo(UndoRecord record) {
   undo_log_.push_back(std::move(record));
 }
 
-void Database::RemoveFromExtent(Object* obj) {
-  MarkExtentDirty(obj->cls);
-  MarkObjectDirty(obj->oid);
-  std::vector<Oid>& extent = extents_[obj->cls];
-  std::size_t pos = obj->extent_pos;
-  extent[pos] = extent.back();
-  if (Object* moved = MutableObject(extent[pos])) moved->extent_pos = pos;
+// Swap-remove: the last member takes the leaving one's position. Only the
+// moved member is written, so `obj`/`link` (read-only here) stays valid.
+
+void Database::RemoveFromExtent(const Object& obj) {
+  std::vector<Oid>& extent = mvcc::Unshare(extents_[obj.cls]);
+  const Oid last = extent.back();
+  extent[obj.extent_pos] = last;
   extent.pop_back();
+  if (last != obj.oid) MutableObject(last)->extent_pos = obj.extent_pos;
 }
 
 void Database::RestoreToExtent(Object* obj) {
-  MarkExtentDirty(obj->cls);
-  MarkObjectDirty(obj->oid);
-  std::vector<Oid>& extent = extents_[obj->cls];
+  std::vector<Oid>& extent = mvcc::Unshare(extents_[obj->cls]);
   obj->extent_pos = extent.size();
   extent.push_back(obj->oid);
 }
@@ -426,38 +385,30 @@ void Database::AttachLinkToEndpoints(const Link& link) {
 
 void Database::AddToContextIndex(Link* link) {
   if (link->context == kNullOid) return;
-  MarkContextDirty(link->context);
-  MarkLinkDirty(link->oid);
-  std::vector<Oid>& bucket = context_index_[link->context];
+  std::vector<Oid>& bucket = mvcc::Unshare(context_index_[link->context]);
   link->ctx_pos = bucket.size();
   bucket.push_back(link->oid);
 }
 
-void Database::RemoveFromContextIndex(Link* link) {
-  if (link->context == kNullOid) return;
-  MarkContextDirty(link->context);
-  MarkLinkDirty(link->oid);
-  std::vector<Oid>& bucket = context_index_[link->context];
-  std::size_t pos = link->ctx_pos;
-  bucket[pos] = bucket.back();
-  if (Link* moved = MutableLink(bucket[pos])) moved->ctx_pos = pos;
+void Database::RemoveFromContextIndex(const Link& link) {
+  if (link.context == kNullOid) return;
+  std::vector<Oid>& bucket = mvcc::Unshare(context_index_[link.context]);
+  const Oid last = bucket.back();
+  bucket[link.ctx_pos] = last;
   bucket.pop_back();
+  if (last != link.oid) MutableLink(last)->ctx_pos = link.ctx_pos;
 }
 
-void Database::RemoveLinkFromExtent(Link* link) {
-  MarkLinkExtentDirty(link->def);
-  MarkLinkDirty(link->oid);
-  std::vector<Oid>& extent = link_extents_[link->def];
-  std::size_t pos = link->extent_pos;
-  extent[pos] = extent.back();
-  if (Link* moved = MutableLink(extent[pos])) moved->extent_pos = pos;
+void Database::RemoveLinkFromExtent(const Link& link) {
+  std::vector<Oid>& extent = mvcc::Unshare(link_extents_[link.def]);
+  const Oid last = extent.back();
+  extent[link.extent_pos] = last;
   extent.pop_back();
+  if (last != link.oid) MutableLink(last)->extent_pos = link.extent_pos;
 }
 
 void Database::RestoreLinkToExtent(Link* link) {
-  MarkLinkExtentDirty(link->def);
-  MarkLinkDirty(link->oid);
-  std::vector<Oid>& extent = link_extents_[link->def];
+  std::vector<Oid>& extent = mvcc::Unshare(link_extents_[link->def]);
   link->extent_pos = extent.size();
   extent.push_back(link->oid);
 }
@@ -466,7 +417,7 @@ void Database::RestoreLinkToExtent(Link* link) {
 
 Result<Oid> Database::CreateObject(const std::string& class_name,
                                    std::vector<AttrInit> inits) {
-  AssertExclusiveAccess();
+  BeginMutation();
   const ClassDef* cls = FindClass(class_name);
   if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
@@ -481,15 +432,14 @@ Result<Oid> Database::CreateObject(const std::string& class_name,
   before.type_name = cls->name();
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
-  auto obj = std::make_unique<Object>();
+  auto obj = mvcc::MakeVersion(Object{});
   obj->oid = oid;
   obj->cls = cls;
   obj->attrs = DefaultSlots(cls->slots());
   PROMETHEUS_RETURN_IF_ERROR(
       AssignSlots(*cls, "class", std::move(inits), &obj->attrs));
-  Object* raw = obj.get();
+  RestoreToExtent(obj.get());
   objects_.Put(oid, std::move(obj));
-  RestoreToExtent(raw);
 
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kCreateObject;
@@ -513,8 +463,8 @@ Result<Oid> Database::CreateObject(const std::string& class_name,
 }
 
 Status Database::DeleteObject(Oid oid) {
-  AssertExclusiveAccess();
-  Object* obj = MutableObject(oid);
+  BeginMutation();
+  const Object* obj = GetObject(oid);
   if (obj == nullptr) {
     return Status::NotFound("no object @" + std::to_string(oid));
   }
@@ -531,7 +481,7 @@ Status Database::DeleteObject(Oid oid) {
     Oid next = cascade.back();
     cascade.pop_back();
     if (!seen.insert(next).second) continue;
-    if (MutableObject(next) == nullptr) continue;  // already gone
+    if (GetObject(next) == nullptr) continue;  // already gone
     st = DeleteObjectInternal(next, &cascade);
   }
   if (!in_transaction_) {
@@ -545,6 +495,7 @@ Status Database::DeleteObject(Oid oid) {
 }
 
 Status Database::DeleteObjectInternal(Oid oid, std::vector<Oid>* cascade) {
+  // Writable first, so the address holds across the link deletions below.
   Object* obj = MutableObject(oid);
   if (obj == nullptr) return Status::Ok();
 
@@ -553,30 +504,30 @@ Status Database::DeleteObjectInternal(Oid oid, std::vector<Oid>* cascade) {
   std::vector<Oid> incident = obj->out_links;
   incident.insert(incident.end(), obj->in_links.begin(), obj->in_links.end());
   for (Oid lid : incident) {
-    Link* link = MutableLink(lid);
+    const Link* link = GetLink(lid);
     if (link == nullptr) continue;
     if (link->source == oid && link->def->semantics().lifetime_dependent) {
       cascade->push_back(link->target);
     }
-    PROMETHEUS_RETURN_IF_ERROR(DeleteLinkInternal(lid, true));
+    PROMETHEUS_RETURN_IF_ERROR(DeleteLinkInternal(lid));
   }
 
   Event after{EventKind::kAfterDeleteObject};
   after.subject = oid;
   after.type_name = obj->cls->name();
 
-  RemoveFromExtent(obj);
+  RemoveFromExtent(*obj);
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kDeleteObject;
   undo.oid = oid;
-  undo.object_snapshot = objects_.Take(oid);
+  undo.object_version = objects_.Take(oid);
   RecordUndo(std::move(undo));
 
   return PublishEvent(after);
 }
 
 Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
-  AssertExclusiveAccess();
+  BeginMutation();
   Object* obj = MutableObject(oid);
   if (obj == nullptr) {
     return Status::NotFound("no object @" + std::to_string(oid));
@@ -627,38 +578,6 @@ Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
     return violation;
   }
   return Status::Ok();
-}
-
-Result<Value> Database::GetAttribute(Oid oid, const std::string& name) const {
-  return internal::GetAttributeOf(*this, oid, name);
-}
-
-bool Database::IsInstanceOf(Oid oid, std::string_view class_name) const {
-  const Object* obj = GetObject(oid);
-  if (obj == nullptr) return false;
-  const ClassDef* cls = FindClass(class_name);
-  return cls != nullptr && obj->cls->IsSubclassOf(cls);
-}
-
-std::vector<Oid> Database::Extent(const std::string& class_name,
-                                  bool include_subclasses) const {
-  AssertSharedAccess();
-  const ClassDef* cls = FindClass(class_name);
-  if (cls == nullptr) return {};
-  std::vector<Oid> out;
-  std::deque<const ClassDef*> work{cls};
-  while (!work.empty()) {
-    const ClassDef* c = work.front();
-    work.pop_front();
-    auto it = extents_.find(c);
-    if (it != extents_.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-    if (include_subclasses) {
-      for (const ClassDef* sub : c->subclasses()) work.push_back(sub);
-    }
-  }
-  return out;
 }
 
 // ------------------------------------------------------------------- links
@@ -726,16 +645,16 @@ Status Database::CheckLinkSemantics(const RelationshipDef* def,
 Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
                                  Oid target, Oid context,
                                  std::vector<AttrInit> inits) {
-  AssertExclusiveAccess();
+  BeginMutation();
   const RelationshipDef* def = FindRelationship(rel_name);
   if (def == nullptr) {
     return Status::NotFound("unknown relationship '" + rel_name + "'");
   }
-  Object* src = MutableObject(source);
+  const Object* src = GetObject(source);
   if (src == nullptr) {
     return Status::NotFound("no source object @" + std::to_string(source));
   }
-  Object* dst = MutableObject(target);
+  const Object* dst = GetObject(target);
   if (dst == nullptr) {
     return Status::NotFound("no target object @" + std::to_string(target));
   }
@@ -766,7 +685,7 @@ Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
   before.context = context;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
-  auto link = std::make_unique<Link>();
+  auto link = mvcc::MakeVersion(Link{});
   link->oid = oid;
   link->def = def;
   link->source = source;
@@ -775,11 +694,10 @@ Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
   link->attrs = DefaultSlots(def->slots());
   PROMETHEUS_RETURN_IF_ERROR(
       AssignSlots(*def, "relationship", std::move(inits), &link->attrs));
-  Link* raw = link.get();
+  AttachLinkToEndpoints(*link);
+  RestoreLinkToExtent(link.get());
+  AddToContextIndex(link.get());
   links_.Put(oid, std::move(link));
-  AttachLinkToEndpoints(*raw);
-  RestoreLinkToExtent(raw);
-  AddToContextIndex(raw);
 
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kCreateLink;
@@ -803,8 +721,8 @@ Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
 }
 
 Status Database::DeleteLink(Oid oid) {
-  AssertExclusiveAccess();
-  Link* link = MutableLink(oid);
+  BeginMutation();
+  const Link* link = GetLink(oid);
   if (link == nullptr) {
     return Status::NotFound("no link @" + std::to_string(oid));
   }
@@ -814,7 +732,7 @@ Status Database::DeleteLink(Oid oid) {
                                        link->def->name() +
                                        "' cannot be deleted");
   }
-  Status st = DeleteLinkInternal(oid, false);
+  Status st = DeleteLinkInternal(oid);
   if (!in_transaction_) {
     if (st.ok()) {
       undo_log_.clear();
@@ -825,10 +743,11 @@ Status Database::DeleteLink(Oid oid) {
   return st;
 }
 
-Status Database::DeleteLinkInternal(Oid oid, bool ignore_constancy) {
+Status Database::DeleteLinkInternal(Oid oid) {
+  // Constancy is checked by the public entry point. Writable first, so the
+  // address holds across the before-event's rules.
   Link* link = MutableLink(oid);
   if (link == nullptr) return Status::Ok();
-  (void)ignore_constancy;  // constancy is checked by the public entry point
 
   Event before{EventKind::kBeforeDeleteLink};
   before.subject = oid;
@@ -839,8 +758,8 @@ Status Database::DeleteLinkInternal(Oid oid, bool ignore_constancy) {
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
   DetachLinkFromEndpoints(*link);
-  RemoveLinkFromExtent(link);
-  RemoveFromContextIndex(link);
+  RemoveLinkFromExtent(*link);
+  RemoveFromContextIndex(*link);
 
   Event after = before;
   after.kind = EventKind::kAfterDeleteLink;
@@ -848,7 +767,7 @@ Status Database::DeleteLinkInternal(Oid oid, bool ignore_constancy) {
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kDeleteLink;
   undo.oid = oid;
-  undo.link_snapshot = links_.Take(oid);
+  undo.link_version = links_.Take(oid);
   RecordUndo(std::move(undo));
 
   return PublishEvent(after);
@@ -856,7 +775,7 @@ Status Database::DeleteLinkInternal(Oid oid, bool ignore_constancy) {
 
 Status Database::SetLinkAttribute(Oid oid, const std::string& name,
                                   Value value) {
-  AssertExclusiveAccess();
+  BeginMutation();
   Link* link = MutableLink(oid);
   if (link == nullptr) {
     return Status::NotFound("no link @" + std::to_string(oid));
@@ -910,67 +829,10 @@ Status Database::SetLinkAttribute(Oid oid, const std::string& name,
   return Status::Ok();
 }
 
-Result<Value> Database::GetLinkAttribute(Oid oid,
-                                         const std::string& name) const {
-  return internal::GetLinkAttributeOf(*this, oid, name);
-}
-
-std::vector<Oid> Database::LinkExtent(const std::string& rel_name,
-                                      bool include_subrelationships) const {
-  AssertSharedAccess();
-  const RelationshipDef* def = FindRelationship(rel_name);
-  if (def == nullptr) return {};
-  std::vector<Oid> out;
-  std::deque<const RelationshipDef*> work{def};
-  while (!work.empty()) {
-    const RelationshipDef* d = work.front();
-    work.pop_front();
-    auto it = link_extents_.find(d);
-    if (it != link_extents_.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-    if (include_subrelationships) {
-      for (const RelationshipDef* sub : d->subrelationships()) {
-        work.push_back(sub);
-      }
-    }
-  }
-  return out;
-}
-
-const std::vector<Oid>& Database::LinksInContext(Oid context) const {
-  AssertSharedAccess();
-  static const std::vector<Oid> kEmpty;
-  auto it = context_index_.find(context);
-  return it == context_index_.end() ? kEmpty : it->second;
-}
-
-// --------------------------------------------------------------- traversal
-
-std::vector<Oid> Database::IncidentLinks(Oid oid, Direction dir,
-                                         const RelationshipDef* def,
-                                         Oid context) const {
-  return internal::IncidentLinksOf(*this, oid, dir, def, context);
-}
-
-std::vector<Oid> Database::Neighbors(Oid oid, const std::string& rel_name,
-                                     Direction dir, Oid context) const {
-  return internal::NeighborsOf(*this, oid, rel_name, dir, context);
-}
-
-Result<std::vector<Oid>> Database::Traverse(Oid start,
-                                            const std::string& rel_name,
-                                            std::uint32_t min_depth,
-                                            std::uint32_t max_depth,
-                                            Direction dir, Oid context) const {
-  return internal::TraverseOf(*this, start, rel_name, min_depth, max_depth,
-                              dir, context);
-}
-
 // ---------------------------------------------------------------- synonyms
 
 Status Database::DeclareSynonym(Oid a, Oid b) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (GetObject(a) == nullptr || GetObject(b) == nullptr) {
     return Status::NotFound("synonym declaration requires two live objects");
   }
@@ -980,8 +842,7 @@ Status Database::DeclareSynonym(Oid a, Oid b) {
   // Attach the larger oid's root under the smaller so the canonical
   // representative is deterministic (the oldest object).
   if (rb < ra) std::swap(ra, rb);
-  synonym_parent_[rb] = ra;
-  MarkSynonymsDirty();
+  mvcc::Unshare(synonym_parent_)[rb] = ra;
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kDeclareSynonym;
   undo.oid = rb;
@@ -994,39 +855,11 @@ Status Database::DeclareSynonym(Oid a, Oid b) {
   return Status::Ok();
 }
 
-bool Database::AreSynonyms(Oid a, Oid b) const {
-  return CanonicalOf(a) == CanonicalOf(b);
-}
-
-Oid Database::CanonicalOf(Oid oid) const {
-  Oid cur = oid;
-  for (;;) {
-    auto it = synonym_parent_.find(cur);
-    if (it == synonym_parent_.end()) return cur;
-    cur = it->second;
-  }
-}
-
-std::vector<Oid> Database::SynonymSet(Oid oid) const {
-  AssertSharedAccess();
-  Oid root = CanonicalOf(oid);
-  std::vector<Oid> out;
-  if (GetObject(root) != nullptr) out.push_back(root);
-  for (const auto& [child, parent] : synonym_parent_) {
-    (void)parent;
-    if (child != root && CanonicalOf(child) == root &&
-        GetObject(child) != nullptr) {
-      out.push_back(child);
-    }
-  }
-  return out;
-}
-
 // ------------------------------------------------------ storage substrate
 
 Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
                                   std::vector<AttrInit> attrs) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (in_transaction_) {
     return Status::FailedPrecondition(
         "raw restore is not valid inside a transaction");
@@ -1036,15 +869,14 @@ Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
   if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
   }
-  auto obj = std::make_unique<Object>();
+  auto obj = mvcc::MakeVersion(Object{});
   obj->oid = oid;
   obj->cls = cls;
   obj->attrs = DefaultSlots(cls->slots());
   PROMETHEUS_RETURN_IF_ERROR(
       AssignSlots(*cls, "class", std::move(attrs), &obj->attrs));
-  Object* raw = obj.get();
+  RestoreToExtent(obj.get());
   objects_.Put(oid, std::move(obj));
-  RestoreToExtent(raw);
   EnsureNextOidAbove(oid);
   return Status::Ok();
 }
@@ -1052,7 +884,7 @@ Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
 Status Database::RestoreLinkRaw(Oid oid, const std::string& rel_name,
                                 Oid source, Oid target, Oid context,
                                 std::vector<AttrInit> attrs) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (in_transaction_) {
     return Status::FailedPrecondition(
         "raw restore is not valid inside a transaction");
@@ -1065,7 +897,7 @@ Status Database::RestoreLinkRaw(Oid oid, const std::string& rel_name,
   if (GetObject(source) == nullptr || GetObject(target) == nullptr) {
     return Status::NotFound("link endpoints must be restored first");
   }
-  auto link = std::make_unique<Link>();
+  auto link = mvcc::MakeVersion(Link{});
   link->oid = oid;
   link->def = def;
   link->source = source;
@@ -1074,11 +906,10 @@ Status Database::RestoreLinkRaw(Oid oid, const std::string& rel_name,
   link->attrs = DefaultSlots(def->slots());
   PROMETHEUS_RETURN_IF_ERROR(
       AssignSlots(*def, "relationship", std::move(attrs), &link->attrs));
-  Link* raw = link.get();
+  AttachLinkToEndpoints(*link);
+  RestoreLinkToExtent(link.get());
+  AddToContextIndex(link.get());
   links_.Put(oid, std::move(link));
-  AttachLinkToEndpoints(*raw);
-  RestoreLinkToExtent(raw);
-  AddToContextIndex(raw);
   EnsureNextOidAbove(oid);
   return Status::Ok();
 }
@@ -1093,10 +924,9 @@ Status Database::CheckRestorableOid(Oid oid) const {
 }
 
 Status Database::RestoreSynonymRaw(Oid child, Oid parent) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (child == parent) return Status::Ok();
-  synonym_parent_[child] = parent;
-  MarkSynonymsDirty();
+  mvcc::Unshare(synonym_parent_)[child] = parent;
   return Status::Ok();
 }
 
@@ -1105,40 +935,31 @@ void Database::EnsureNextOidAbove(Oid oid) {
 }
 
 Status Database::Clear() {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (in_transaction_) {
     return Status::FailedPrecondition("cannot clear inside a transaction");
   }
   undo_log_.clear();
-  synonym_parent_.clear();
+  // Snapshots taken before the clear stay fully readable: they share the
+  // old pages and structures, and their SchemaTables own the old
+  // definitions.
+  synonym_parent_.reset();
   context_index_.clear();
   link_extents_.clear();
   extents_.clear();
   links_.Clear();
   objects_.Clear();
+  schema_ = std::make_shared<SchemaTables>();
   rel_template_order_.clear();
   rel_templates_.clear();
-  rels_by_name_.clear();
-  rel_storage_.clear();
-  classes_by_name_.clear();
-  class_storage_.clear();
   next_oid_ = 1;
-  // Everything changed at once (and the dirty sets may hold pointers into
-  // the schema storage just dropped): force a from-scratch rebuild at the
-  // next publish. Snapshots taken before the clear stay fully readable —
-  // their SchemaTables keep-alives own the old definitions.
-  if (TrackDirty()) {
-    dirty_ = DirtyState{};
-    dirty_.full = true;
-    dirty_.any = true;
-  }
   return Status::Ok();
 }
 
 // ------------------------------------------------------------ transactions
 
 Status Database::Begin() {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (in_transaction_) {
     return Status::FailedPrecondition("nested transactions are unsupported");
   }
@@ -1150,7 +971,7 @@ Status Database::Begin() {
 }
 
 Status Database::Commit() {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (!in_transaction_) {
     return Status::FailedPrecondition("no transaction in progress");
   }
@@ -1171,7 +992,7 @@ Status Database::Commit() {
 }
 
 Status Database::Abort() {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (!in_transaction_) {
     return Status::FailedPrecondition("no transaction in progress");
   }
@@ -1193,28 +1014,28 @@ void Database::UndoAll() {
     comp.compensating = true;
     switch (rec.kind) {
       case UndoRecord::Kind::kCreateObject: {
-        Object* obj = MutableObject(rec.oid);
+        const Object* obj = GetObject(rec.oid);
         if (obj == nullptr) break;
         comp.kind = EventKind::kAfterDeleteObject;
         comp.subject = rec.oid;
         comp.type_name = obj->cls->name();
-        RemoveFromExtent(obj);
+        RemoveFromExtent(*obj);
         objects_.Take(rec.oid);
         PublishEvent(comp);
         break;
       }
       case UndoRecord::Kind::kDeleteObject: {
-        Object* raw = rec.object_snapshot.get();
-        objects_.Put(rec.oid, std::move(rec.object_snapshot));
+        objects_.Put(rec.oid, std::move(rec.object_version));
+        Object* obj = MutableObject(rec.oid);
         // Incident-link vectors are rebuilt by the link undo records that
         // precede this record in the log (and hence follow it in undo
         // order), so clear them here.
-        raw->out_links.clear();
-        raw->in_links.clear();
-        RestoreToExtent(raw);
+        obj->out_links.clear();
+        obj->in_links.clear();
+        RestoreToExtent(obj);
         comp.kind = EventKind::kAfterCreateObject;
         comp.subject = rec.oid;
-        comp.type_name = raw->cls->name();
+        comp.type_name = obj->cls->name();
         PublishEvent(comp);
         break;
       }
@@ -1232,7 +1053,7 @@ void Database::UndoAll() {
         break;
       }
       case UndoRecord::Kind::kCreateLink: {
-        Link* link = MutableLink(rec.oid);
+        const Link* link = GetLink(rec.oid);
         if (link == nullptr) break;
         comp.kind = EventKind::kAfterDeleteLink;
         comp.subject = rec.oid;
@@ -1241,24 +1062,24 @@ void Database::UndoAll() {
         comp.target = link->target;
         comp.context = link->context;
         DetachLinkFromEndpoints(*link);
-        RemoveLinkFromExtent(link);
-        RemoveFromContextIndex(link);
+        RemoveLinkFromExtent(*link);
+        RemoveFromContextIndex(*link);
         links_.Take(rec.oid);
         PublishEvent(comp);
         break;
       }
       case UndoRecord::Kind::kDeleteLink: {
-        Link* raw = rec.link_snapshot.get();
-        links_.Put(rec.oid, std::move(rec.link_snapshot));
-        AttachLinkToEndpoints(*raw);
-        RestoreLinkToExtent(raw);
-        AddToContextIndex(raw);
+        links_.Put(rec.oid, std::move(rec.link_version));
+        Link* link = MutableLink(rec.oid);
+        AttachLinkToEndpoints(*link);
+        RestoreLinkToExtent(link);
+        AddToContextIndex(link);
         comp.kind = EventKind::kAfterCreateLink;
         comp.subject = rec.oid;
-        comp.type_name = raw->def->name();
-        comp.source = raw->source;
-        comp.target = raw->target;
-        comp.context = raw->context;
+        comp.type_name = link->def->name();
+        comp.source = link->source;
+        comp.target = link->target;
+        comp.context = link->context;
         PublishEvent(comp);
         break;
       }
@@ -1279,8 +1100,7 @@ void Database::UndoAll() {
         break;
       }
       case UndoRecord::Kind::kDeclareSynonym: {
-        synonym_parent_.erase(rec.oid);
-        MarkSynonymsDirty();
+        mvcc::Unshare(synonym_parent_).erase(rec.oid);
         break;
       }
     }
@@ -1289,180 +1109,28 @@ void Database::UndoAll() {
 
 // ------------------------------------------------------ MVCC publication
 
-std::shared_ptr<const SchemaTables> Database::BuildSchemaTables() const {
-  auto t = std::make_shared<SchemaTables>();
-  t->class_keep_alive.reserve(class_storage_.size());
-  t->classes_in_order.reserve(class_storage_.size());
-  for (const auto& c : class_storage_) {
-    t->class_keep_alive.push_back(c);
-    t->classes_in_order.push_back(c.get());
-    t->classes_by_name[c->name()] = c.get();
-    if (!c->subclasses().empty()) t->subclasses[c.get()] = c->subclasses();
-  }
-  t->rel_keep_alive.reserve(rel_storage_.size());
-  t->rels_in_order.reserve(rel_storage_.size());
-  for (const auto& r : rel_storage_) {
-    t->rel_keep_alive.push_back(r);
-    t->rels_in_order.push_back(r.get());
-    t->rels_by_name[r->name()] = r.get();
-    if (!r->subrelationships().empty()) {
-      t->subrels[r.get()] = r->subrelationships();
-    }
-  }
-  return t;
-}
-
-std::shared_ptr<DbSnapshot> Database::BuildFullSnapshot(
-    std::uint64_t epoch) const {
-  std::shared_ptr<DbSnapshot> snap(new DbSnapshot());
-  snap->epoch_ = epoch;
-  snap->schema_ = BuildSchemaTables();
-  objects_.ForEach([&snap](Oid oid, const Object& obj) {
-    snap->objects_.Set(oid, mvcc::MakeVersion(obj));
-  });
-  links_.ForEach([&snap](Oid oid, const Link& link) {
-    snap->links_.Set(oid, mvcc::MakeVersion(link));
-  });
-  for (const auto& [cls, extent] : extents_) {
-    if (!extent.empty()) {
-      snap->extents_[cls] = std::make_shared<const std::vector<Oid>>(extent);
-    }
-  }
-  for (const auto& [def, extent] : link_extents_) {
-    if (!extent.empty()) {
-      snap->link_extents_[def] =
-          std::make_shared<const std::vector<Oid>>(extent);
-    }
-  }
-  for (const auto& [ctx, bucket] : context_index_) {
-    if (!bucket.empty()) {
-      snap->context_index_[ctx] =
-          std::make_shared<const std::vector<Oid>>(bucket);
-    }
-  }
-  snap->synonym_parent_ =
-      std::make_shared<const std::unordered_map<Oid, Oid>>(synonym_parent_);
-  snap->live_objects_ = objects_.size();
-  snap->live_links_ = links_.size();
-  return snap;
-}
-
-std::shared_ptr<DbSnapshot> Database::BuildNextSnapshot(
-    const DbSnapshot& prev, std::uint64_t epoch) const {
-  // Structural share of the previous cut, then replace exactly what the
-  // dirty set names. Cost: O(changed records × trie depth) version copies
-  // plus a wholesale copy of each *dirty* extent/context bucket — fine for
-  // transaction-sized commits; a known cost for single-record commits
-  // against a huge extent (future work: persistent extent trees).
-  std::shared_ptr<DbSnapshot> snap(new DbSnapshot(prev));
-  snap->epoch_ = epoch;
-  if (dirty_.schema) snap->schema_ = BuildSchemaTables();
-  for (Oid oid : dirty_.objects) {
-    if (const Object* obj = objects_.Find(oid)) {
-      snap->objects_.Set(oid, mvcc::MakeVersion(*obj));
-    } else {
-      snap->objects_.Erase(oid);
-    }
-  }
-  for (Oid oid : dirty_.links) {
-    if (const Link* link = links_.Find(oid)) {
-      snap->links_.Set(oid, mvcc::MakeVersion(*link));
-    } else {
-      snap->links_.Erase(oid);
-    }
-  }
-  for (const ClassDef* cls : dirty_.extents) {
-    auto it = extents_.find(cls);
-    if (it == extents_.end() || it->second.empty()) {
-      snap->extents_.erase(cls);
-    } else {
-      snap->extents_[cls] =
-          std::make_shared<const std::vector<Oid>>(it->second);
-    }
-  }
-  for (const RelationshipDef* def : dirty_.link_extents) {
-    auto it = link_extents_.find(def);
-    if (it == link_extents_.end() || it->second.empty()) {
-      snap->link_extents_.erase(def);
-    } else {
-      snap->link_extents_[def] =
-          std::make_shared<const std::vector<Oid>>(it->second);
-    }
-  }
-  for (Oid ctx : dirty_.contexts) {
-    auto it = context_index_.find(ctx);
-    if (it == context_index_.end() || it->second.empty()) {
-      snap->context_index_.erase(ctx);
-    } else {
-      snap->context_index_[ctx] =
-          std::make_shared<const std::vector<Oid>>(it->second);
-    }
-  }
-  if (dirty_.synonyms) {
-    snap->synonym_parent_ =
-        std::make_shared<const std::unordered_map<Oid, Oid>>(synonym_parent_);
-  }
-  snap->live_objects_ = objects_.size();
-  snap->live_links_ = links_.size();
-  return snap;
-}
-
-void Database::PublishSnapshot() {
-  if (!mvcc_engaged_.load(std::memory_order_relaxed)) {
-    dirty_ = DirtyState{};
-    return;
-  }
-  std::shared_ptr<const DbSnapshot> prev;
+void Database::PublishSnapshot(std::uint64_t epoch) {
+  snapshot_stale_.store(false, std::memory_order_relaxed);
+  // Even a no-op section republishes so the snapshot epoch tracks the
+  // database epoch exactly — the result cache's epoch-equality check
+  // depends on that.
+  std::shared_ptr<const DbSnapshot> snap(new DbSnapshot(*this, epoch));
   {
     std::lock_guard<std::mutex> lk(snap_mu_);
-    prev = current_snapshot_;
+    current_snapshot_.swap(snap);
   }
-  // Stamped with the epoch the closing write section commits as. Even a
-  // no-op section republishes (an O(1) restamped share) so the snapshot
-  // epoch tracks the database epoch exactly — the result cache's
-  // epoch-equality check depends on that.
-  const std::uint64_t next_epoch =
-      epoch_.load(std::memory_order_relaxed) + 1;
-  std::shared_ptr<DbSnapshot> snap;
-  if (snapshot_stale_.load(std::memory_order_acquire) || dirty_.full ||
-      prev == nullptr) {
-    snap = BuildFullSnapshot(next_epoch);
-    snapshot_stale_.store(false, std::memory_order_release);
-  } else {
-    snap = BuildNextSnapshot(*prev, next_epoch);
-  }
-  dirty_ = DirtyState{};
-  {
-    std::lock_guard<std::mutex> lk(snap_mu_);
-    current_snapshot_ = std::move(snap);
-  }
-  prev.reset();  // drop the superseded cut before reporting retention
-  UpdateMvccGauges();
-}
-
-void Database::RebuildSnapshotSlow() {
-  std::lock_guard<std::mutex> rebuild_lk(snap_rebuild_mu_);
-  if (mvcc_engaged_.load(std::memory_order_acquire) &&
-      !snapshot_stale_.load(std::memory_order_acquire)) {
-    return;  // another acquirer already rebuilt
-  }
-  // The shared guard excludes writers, so the live state is a consistent
-  // cut at the *current* epoch (no bump happens without a write section).
-  ReadGuard guard(*this);
-  auto snap = BuildFullSnapshot(epoch());
-  {
-    std::lock_guard<std::mutex> lk(snap_mu_);
-    current_snapshot_ = std::move(snap);
-  }
-  snapshot_stale_.store(false, std::memory_order_release);
-  mvcc_engaged_.store(true, std::memory_order_release);
+  snap.reset();  // drop the superseded cut before reporting retention
   UpdateMvccGauges();
 }
 
 SnapshotHandle Database::AcquireSnapshot() {
   if (!mvcc_engaged_.load(std::memory_order_acquire) ||
       snapshot_stale_.load(std::memory_order_acquire)) {
-    RebuildSnapshotSlow();
+    // The shared guard excludes writers, so the cut is consistent at the
+    // *current* epoch (no bump happens without a write section).
+    ReadGuard guard(*this);
+    PublishSnapshot(epoch());
+    mvcc_engaged_.store(true, std::memory_order_release);
   }
   std::shared_ptr<const DbSnapshot> snap;
   {
@@ -1514,7 +1182,7 @@ void Database::UpdateMvccGauges() const {
 // ------------------------------------------------------------- validation
 
 Status Database::ValidateCardinality() const {
-  for (const auto& rel : rel_storage_) {
+  for (const auto& rel : schema_->relationships) {
     const RelationshipSemantics& sem = rel->semantics();
     if (sem.min_out == 0 && sem.min_in == 0) continue;
     if (sem.min_out > 0) {

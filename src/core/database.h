@@ -14,7 +14,6 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "common/result.h"
 #include "common/value.h"
 #include "core/instance.h"
-#include "core/oid_table.h"
 #include "core/read_view.h"
 #include "core/schema.h"
 #include "core/snapshot.h"
@@ -36,15 +34,25 @@ namespace prometheus {
 /// mutation on an `EventBus` (thesis chapter 4 model; chapter 6
 /// architecture: event layer + object layer).
 ///
+/// The database *is* its store: a `DbCut` (core/snapshot.h) holding every
+/// record once, as a counted version, plus the extents, context buckets,
+/// synonyms and schema tables, all of which the mutators below write
+/// copy-on-write. Reads are the cut's.
+///
 /// Thread model: a `Database` used from one thread (the embedded mode, and
-/// the thesis' single-user prototype) needs no locking at all. Concurrent
-/// use is MVCC: writers (every mutation, transaction, or journal-observed
-/// change) serialize through the exclusive `WriteGuard` below, and the end
-/// of each write section **publishes an immutable `DbSnapshot`** of the
-/// whole database. Readers call `AcquireSnapshot()` and execute against
-/// the pinned snapshot with no lock held — a reader can never be blocked,
-/// starved, or torn by a writer, and a writer stalled mid-section (e.g. in
-/// a journal fsync) degrades write latency only. `ReadGuard` remains for
+/// the thesis' single-user prototype) needs no locking at all, and until
+/// the first `AcquireSnapshot` nothing is shared, so every write is in
+/// place. Concurrent use is MVCC: writers (every mutation, transaction, or
+/// journal-observed change) serialize through the exclusive `WriteGuard`
+/// below, and the end of each write section **publishes an immutable
+/// `DbSnapshot`**, a copy of the cut that costs one pointer per record page
+/// and per class, relationship and context bucket. Readers call
+/// `AcquireSnapshot()` and execute against the pinned snapshot with no lock
+/// held — a reader can never be blocked, starved, or torn by a writer, and
+/// a writer stalled mid-section (e.g. in a journal fsync) degrades write
+/// latency only. After a publish, the writer clones a page, record or
+/// structure at its first write, so a record's address may change there;
+/// it then stays put until the next publish. `ReadGuard` remains for
 /// callers that genuinely need the *live* state quiesced (snapshot
 /// bootstrap, storage checkpointing, tests). Debug builds assert the
 /// protocol on every extent/instance access.
@@ -52,9 +60,9 @@ namespace prometheus {
 /// Version retention is reference-counted, not scheduled: superseded
 /// versions are freed the moment the last snapshot reaching them is
 /// released (watermark = oldest pinned epoch, visible as
-/// `mvcc_oldest_snapshot_epoch`; retention volume as
-/// `mvcc_retained_versions`).
-class Database : public ReadView {
+/// `mvcc_oldest_snapshot_epoch`; retention volume, the database's own
+/// records included, as `mvcc_retained_versions`).
+class Database : public DbCut {
  public:
   Database();
   ~Database();
@@ -179,7 +187,9 @@ class Database : public ReadView {
       // must be able to acquire a snapshot stamped E+1 (a reader seeing
       // the new snapshot before the bump is harmless — snapshots only ever
       // run ahead of the observable epoch, never behind).
-      db_.PublishSnapshot();
+      if (db_.mvcc_engaged_.load(std::memory_order_relaxed)) {
+        db_.PublishSnapshot(db_.epoch() + 1);
+      }
       db_.writer_active_.store(false, std::memory_order_release);
       db_.epoch_.fetch_add(1, std::memory_order_acq_rel);
       if (timed_) {
@@ -236,13 +246,15 @@ class Database : public ReadView {
   /// Pins the current published snapshot and returns a handle to it. The
   /// first call engages MVCC publication (until then, single-threaded
   /// embedded use pays nothing for versioning); afterwards every write
-  /// section refreshes the published snapshot incrementally.
+  /// section publishes a fresh copy of the cut.
   ///
   /// Never blocks on a writer once engaged — the fast path is one brief
   /// mutex-protected shared_ptr copy plus the pin-registry insert, neither
-  /// held across a write section. Must not be called by a thread that
-  /// holds this database's guard (the engagement slow path takes the guard
-  /// shared).
+  /// held across a write section. The slow path — engagement, or
+  /// mutations made without the `WriteGuard` since the last publish — takes
+  /// the guard shared and publishes the cut as it stands, stamped `epoch()`
+  /// (guard-less mutations do not move the epoch). Must not be called by a
+  /// thread that holds this database's guard.
   SnapshotHandle AcquireSnapshot();
 
   /// Number of currently pinned snapshot handles (test/ops visibility;
@@ -258,7 +270,7 @@ class Database : public ReadView {
   /// Shared access is legal unless a *foreign* thread holds the write
   /// guard; exclusive access is legal when this thread holds the write
   /// guard or nobody holds the guard at all (single-threaded mode).
-  void AssertSharedAccess() const {
+  void AssertSharedAccess() const override {
 #ifndef NDEBUG
     assert(!writer_active_.load(std::memory_order_acquire) ||
            writer_thread_.load(std::memory_order_relaxed) ==
@@ -324,19 +336,6 @@ class Database : public ReadView {
   const std::vector<AttributeDef>* FindTemplateAttributes(
       const std::string& name) const;
 
-  /// Looks up a class by name; nullptr when absent.
-  const ClassDef* FindClass(std::string_view name) const override;
-
-  /// Looks up a relationship class by name; nullptr when absent.
-  const RelationshipDef* FindRelationship(
-      std::string_view name) const override;
-
-  /// All defined classes, in definition order.
-  std::vector<const ClassDef*> classes() const override;
-
-  /// All defined relationship classes, in definition order.
-  std::vector<const RelationshipDef*> relationships() const override;
-
   // --------------------------------------------------------------- objects
 
   /// Creates an instance of `class_name` with defaults applied and `inits`
@@ -350,29 +349,6 @@ class Database : public ReadView {
 
   /// Sets an attribute, type-checked against the declaration.
   Status SetAttribute(Oid oid, const std::string& name, Value value);
-
-  /// Reads an attribute. Falls back to attributes inherited from incoming
-  /// links whose relationship class enables `inherit_attributes`
-  /// (thesis 4.4.5, figures 17–18).
-  Result<Value> GetAttribute(Oid oid, const std::string& name) const override;
-
-  /// Non-owning instance lookup; nullptr when the oid is dead or unknown.
-  const Object* GetObject(Oid oid) const final {
-    AssertSharedAccess();
-    return objects_.Find(oid);
-  }
-
-  /// True when `oid` designates a live object of `class_name` (or one of
-  /// its subclasses).
-  bool IsInstanceOf(Oid oid, std::string_view class_name) const override;
-
-  /// The extent of a class; with `include_subclasses` (the default) this is
-  /// the deep extent.
-  std::vector<Oid> Extent(const std::string& class_name,
-                          bool include_subclasses = true) const override;
-
-  /// Number of live objects.
-  std::size_t object_count() const override { return objects_.size(); }
 
   // ----------------------------------------------------------------- links
 
@@ -389,72 +365,12 @@ class Database : public ReadView {
   /// Sets a link attribute. Vetoed for constant relationships.
   Status SetLinkAttribute(Oid oid, const std::string& name, Value value);
 
-  /// Reads a link attribute.
-  Result<Value> GetLinkAttribute(Oid oid,
-                                 const std::string& name) const override;
-
-  /// Non-owning link lookup; nullptr when dead or unknown.
-  const Link* GetLink(Oid oid) const final {
-    AssertSharedAccess();
-    return links_.Find(oid);
-  }
-
-  /// All live links of a relationship class (its extent); with
-  /// `include_subrelationships`, links of sub-relationship classes too.
-  std::vector<Oid> LinkExtent(const std::string& rel_name,
-                              bool include_subrelationships = true)
-      const override;
-
-  /// All live links whose classification context is `context` (thesis
-  /// 4.6.2: a classification *is* the set of links created in its context).
-  /// Maintained incrementally; O(result).
-  const std::vector<Oid>& LinksInContext(Oid context) const override;
-
-  /// Number of live links.
-  std::size_t link_count() const override { return links_.size(); }
-
-  // ------------------------------------------------------------- traversal
-
-  /// Links incident to `oid` in `dir`, optionally restricted to a
-  /// relationship class (and its subs) and/or a classification context.
-  std::vector<Oid> IncidentLinks(Oid oid, Direction dir,
-                                 const RelationshipDef* def = nullptr,
-                                 Oid context = kNullOid) const override;
-
-  /// Objects one hop away from `oid` over `rel_name` links.
-  /// `context == kNullOid` means "any context".
-  std::vector<Oid> Neighbors(Oid oid, const std::string& rel_name,
-                             Direction dir = Direction::kOut,
-                             Oid context = kNullOid) const override;
-
-  /// Recursive closure (requirement 9): every object reachable from `start`
-  /// over `rel_name` links within `[min_depth, max_depth]` hops
-  /// (`max_depth == 0` means unbounded). Breadth-first; each object is
-  /// reported once at its smallest depth. The start itself is reported only
-  /// when `min_depth == 0`.
-  Result<std::vector<Oid>> Traverse(Oid start, const std::string& rel_name,
-                                    std::uint32_t min_depth,
-                                    std::uint32_t max_depth,
-                                    Direction dir = Direction::kOut,
-                                    Oid context = kNullOid) const override;
-
   // ----------------------------------------------- instance synonyms (4.5)
 
   /// Declares that two objects denote the same real-world entity
   /// (thesis 4.5). Synonymy is an equivalence relation maintained with a
   /// union-find structure; it never merges storage.
   Status DeclareSynonym(Oid a, Oid b);
-
-  /// True when the two oids are in the same synonym set (reflexive).
-  bool AreSynonyms(Oid a, Oid b) const override;
-
-  /// Canonical representative of `oid`'s synonym set (itself if alone).
-  Oid CanonicalOf(Oid oid) const override;
-
-  /// All *live* members of `oid`'s synonym set, including `oid` when it is
-  /// alive. Synonym chains survive member deletion (the remaining
-  /// duplicates stay unified), but deleted members are not reported.
-  std::vector<Oid> SynonymSet(Oid oid) const override;
 
   // ---------------------------------------------------------- transactions
 
@@ -530,95 +446,29 @@ class Database : public ReadView {
   // Undo machinery (transactions).
   struct UndoRecord;
 
-  Object* MutableObject(Oid oid);
-  Link* MutableLink(Oid oid);
+  // Copy-on-write access to the cut (see `DbCut`). A record returned by
+  // MutableObject/MutableLink keeps its address until the write section
+  // ends; a pointer from GetObject/GetLink may name the superseded version
+  // after a write to that record.
+  Object* MutableObject(Oid oid) { return objects_.Mutable(oid); }
+  Link* MutableLink(Oid oid) { return links_.Mutable(oid); }
 
-  // ------------------------------------------------------ MVCC internals
-
-  /// What the current write section touched, consumed by the incremental
-  /// snapshot build at publish. Plain members: only the single writer
-  /// reads or writes them, always under the exclusive guard.
-  struct DirtyState {
-    bool any = false;       ///< anything at all changed
-    bool full = false;      ///< rebuild from scratch (Clear, engagement)
-    bool schema = false;    ///< class/relationship/method definitions
-    bool synonyms = false;  ///< the union-find parent map
-    std::unordered_set<Oid> objects;
-    std::unordered_set<Oid> links;
-    std::unordered_set<Oid> contexts;
-    std::unordered_set<const ClassDef*> extents;
-    std::unordered_set<const RelationshipDef*> link_extents;
-  };
-
-  /// Gate for dirty tracking. False before the first AcquireSnapshot
-  /// (embedded single-threaded use pays one relaxed load per mutation and
-  /// nothing else). Once engaged, a mutation outside a WriteGuard (legal
-  /// in single-threaded mode) cannot be published incrementally — it marks
-  /// the published snapshot stale instead, forcing a full rebuild at the
-  /// next acquire/publish.
-  bool TrackDirty() {
-    if (!mvcc_engaged_.load(std::memory_order_relaxed)) return false;
-    if (!writer_active_.load(std::memory_order_relaxed)) {
+  /// Entry check of every mutator: asserts the writer's side of the
+  /// locking protocol and, once snapshots are published, notes a mutation
+  /// made without the `WriteGuard`, which the next `AcquireSnapshot`
+  /// publishes.
+  void BeginMutation() {
+    AssertExclusiveAccess();
+    if (mvcc_engaged_.load(std::memory_order_relaxed) &&
+        !writer_active_.load(std::memory_order_relaxed)) {
       snapshot_stale_.store(true, std::memory_order_release);
-      return false;
-    }
-    return true;
-  }
-  void MarkObjectDirty(Oid oid) {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.objects.insert(oid);
-    }
-  }
-  void MarkLinkDirty(Oid oid) {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.links.insert(oid);
-    }
-  }
-  void MarkExtentDirty(const ClassDef* cls) {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.extents.insert(cls);
-    }
-  }
-  void MarkLinkExtentDirty(const RelationshipDef* def) {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.link_extents.insert(def);
-    }
-  }
-  void MarkContextDirty(Oid context) {
-    if (context != kNullOid && TrackDirty()) {
-      dirty_.any = true;
-      dirty_.contexts.insert(context);
-    }
-  }
-  void MarkSynonymsDirty() {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.synonyms = true;
-    }
-  }
-  void MarkSchemaDirty() {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.schema = true;
     }
   }
 
-  /// End-of-write-section hook (WriteGuard destructor, pre-epoch-bump):
-  /// derives the next snapshot from the published one and the dirty set,
-  /// stamps it epoch()+1 and publishes it.
-  void PublishSnapshot();
-  std::shared_ptr<DbSnapshot> BuildFullSnapshot(std::uint64_t epoch) const;
-  std::shared_ptr<DbSnapshot> BuildNextSnapshot(const DbSnapshot& prev,
-                                                std::uint64_t epoch) const;
-  std::shared_ptr<const SchemaTables> BuildSchemaTables() const;
-
-  /// Engagement / staleness slow path: quiesces writers with a ReadGuard,
-  /// builds a full snapshot of the current state and publishes it.
-  void RebuildSnapshotSlow();
+  /// Publishes a copy of the cut stamped `epoch` (WriteGuard destructor,
+  /// pre-epoch-bump, with epoch()+1; AcquireSnapshot's slow path with
+  /// epoch()).
+  void PublishSnapshot(std::uint64_t epoch);
 
   void RegisterPin(std::uint64_t epoch);
   void ReleasePin(std::uint64_t epoch);
@@ -628,17 +478,17 @@ class Database : public ReadView {
   Status CheckRestorableOid(Oid oid) const;
   Status CheckLinkSemantics(const RelationshipDef* def, const Object& source,
                             const Object& target) const;
-  Status DeleteLinkInternal(Oid oid, bool ignore_constancy);
+  Status DeleteLinkInternal(Oid oid);
   Status DeleteObjectInternal(Oid oid, std::vector<Oid>* cascade);
   Status PublishEvent(const Event& event);
   void RecordUndo(UndoRecord record);
-  void RemoveFromExtent(Object* obj);
+  void RemoveFromExtent(const Object& obj);
   void RestoreToExtent(Object* obj);
   void DetachLinkFromEndpoints(const Link& link);
   void AttachLinkToEndpoints(const Link& link);
   void AddToContextIndex(Link* link);
-  void RemoveFromContextIndex(Link* link);
-  void RemoveLinkFromExtent(Link* link);
+  void RemoveFromContextIndex(const Link& link);
+  void RemoveLinkFromExtent(const Link& link);
   void RestoreLinkToExtent(Link* link);
 
   // Rollback helpers used by Abort().
@@ -664,21 +514,13 @@ class Database : public ReadView {
   std::atomic<bool> snapshot_stale_{false};
   mutable std::mutex snap_mu_;
   std::shared_ptr<const DbSnapshot> current_snapshot_;
-  std::mutex snap_rebuild_mu_;
-  DirtyState dirty_;
 
   // Pin registry feeding the GC watermark gauges. A multiset because many
   // handles may pin the same epoch.
   mutable std::mutex snap_reg_mu_;
   std::multiset<std::uint64_t> pinned_epochs_;
 
-  // Schema. Definitions are shared_ptr-owned so a snapshot's SchemaTables
-  // can keep them (and the `cls`/`def` pointers inside retained object
-  // versions) alive across Clear().
-  std::vector<std::shared_ptr<ClassDef>> class_storage_;
-  NameMap<ClassDef*> classes_by_name_;
-  std::vector<std::shared_ptr<RelationshipDef>> rel_storage_;
-  NameMap<RelationshipDef*> rels_by_name_;
+  // Relationship templates: schema-building aids, not part of the cut.
   struct RelationshipTemplate {
     RelationshipSemantics semantics;
     std::vector<AttributeDef> attributes;
@@ -686,17 +528,7 @@ class Database : public ReadView {
   std::unordered_map<std::string, RelationshipTemplate> rel_templates_;
   std::vector<std::string> rel_template_order_;
 
-  // Instances, in dense oid-indexed tables (hash-free record access).
-  OidTable<Object> objects_;
-  OidTable<Link> links_;
-  std::unordered_map<const ClassDef*, std::vector<Oid>> extents_;
-  std::unordered_map<const RelationshipDef*, std::vector<Oid>> link_extents_;
-  std::unordered_map<Oid, std::vector<Oid>> context_index_;
   Oid next_oid_ = 1;
-
-  // Synonyms: parent pointers of a union-find without path compression
-  // (undoability); absent key == singleton set.
-  std::unordered_map<Oid, Oid> synonym_parent_;
 
   // Transactions.
   bool in_transaction_ = false;

@@ -10,9 +10,11 @@
 
 namespace prometheus {
 
-/// A stored object instance. Owned by the `Database` (held in its dense
-/// oid table, `core/oid_table.h`); pointers returned by lookups are
-/// non-owning and become dangling when the object is deleted.
+/// A stored object instance: one counted version in the database's oid
+/// table (`core/oid_table.h`), shared with the snapshots published since
+/// its last write. Pointers returned by lookups are non-owning; a live
+/// database's pointer may name a superseded version after a write to the
+/// record (see `Database`), and dangles once no cut holds the version.
 struct Object {
   Oid oid = kNullOid;
   const ClassDef* cls = nullptr;

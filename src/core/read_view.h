@@ -29,9 +29,9 @@ enum class Direction : std::uint8_t {
 using AttrInit = std::pair<std::string, Value>;
 
 /// The read-side surface of the database: everything a query, view or
-/// traversal needs, with no mutation entry points. Two implementations
-/// exist — the live `Database` (reads see the current state; callers must
-/// follow the epoch-guard protocol) and `DbSnapshot` (an immutable
+/// traversal needs, with no mutation entry points. `DbCut` implements it
+/// once for both the live `Database` (reads see the current state; callers
+/// must follow the epoch-guard protocol) and `DbSnapshot` (an immutable
 /// consistent cut at a fixed epoch; reads need no lock at all). Query
 /// execution is written against this interface so the same engine serves
 /// embedded single-threaded use and MVCC snapshot reads.

@@ -1,9 +1,9 @@
 #include "core/snapshot.h"
 
 #include <deque>
+#include <unordered_set>
 
 #include "core/database.h"
-#include "core/read_algorithms.h"
 
 namespace prometheus {
 
@@ -12,155 +12,227 @@ std::atomic<std::uint64_t> g_retained_versions{0};
 std::atomic<std::uint64_t> g_live_snapshots{0};
 }  // namespace mvcc::internal
 
-DbSnapshot::DbSnapshot() {
-  mvcc::internal::g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
+namespace {
+
+/// Calls `fn(link)` for every live link incident to `obj` that a walk in
+/// `dir` crosses, restricted to `def` and its sub-relationships (any when
+/// null) and to `context` (any when kNullOid). Undirected relationship
+/// classes are walked both ways. One pass over the adjacency vectors, one
+/// record lookup per link.
+template <typename Fn>
+void ForEachIncident(const DbCut& cut, const Object& obj, Direction dir,
+                     const RelationshipDef* def, Oid context, Fn&& fn) {
+  bool want_out = dir != Direction::kIn;
+  bool want_in = dir != Direction::kOut;
+  if (def != nullptr && !def->semantics().directed) {
+    want_out = want_in = true;
+  }
+  auto walk = [&](const std::vector<Oid>& side) {
+    for (Oid lid : side) {
+      const Link* link = cut.GetLink(lid);
+      if (link == nullptr) continue;
+      if (def != nullptr && !link->def->IsSubrelationshipOf(def)) continue;
+      if (context != kNullOid && link->context != context) continue;
+      fn(*link);
+    }
+  };
+  if (want_out) walk(obj.out_links);
+  if (want_in) walk(obj.in_links);
 }
 
-DbSnapshot::DbSnapshot(const DbSnapshot& prev)
-    : epoch_(prev.epoch_),
-      objects_(prev.objects_),
-      links_(prev.links_),
-      extents_(prev.extents_),
-      link_extents_(prev.link_extents_),
-      context_index_(prev.context_index_),
-      synonym_parent_(prev.synonym_parent_),
-      schema_(prev.schema_),
-      live_objects_(prev.live_objects_),
-      live_links_(prev.live_links_) {
-  mvcc::internal::g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
+/// Appends the far endpoint of every link `ForEachIncident` yields.
+void AppendNeighbors(const DbCut& cut, Oid oid, const RelationshipDef* def,
+                     Direction dir, Oid context, std::vector<Oid>* out) {
+  if (const Object* obj = cut.GetObject(oid)) {
+    ForEachIncident(cut, *obj, dir, def, context, [&](const Link& link) {
+      out->push_back(link.source == oid ? link.target : link.source);
+    });
+  }
 }
 
-DbSnapshot::~DbSnapshot() {
-  mvcc::internal::g_live_snapshots.fetch_sub(1, std::memory_order_relaxed);
+/// Appends the vectors `extents` holds for `root` and, when `deep`, for
+/// every definition below it in `children` (breadth-first).
+template <typename Def>
+std::vector<Oid> CollectExtent(
+    const Def* root, bool deep,
+    const std::unordered_map<const Def*, std::shared_ptr<std::vector<Oid>>>&
+        extents,
+    const std::unordered_map<const Def*, std::vector<const Def*>>& children) {
+  std::vector<Oid> out;
+  std::deque<const Def*> work{root};
+  while (!work.empty()) {
+    const Def* d = work.front();
+    work.pop_front();
+    auto it = extents.find(d);
+    if (it != extents.end() && it->second != nullptr) {
+      out.insert(out.end(), it->second->begin(), it->second->end());
+    }
+    if (!deep) continue;
+    auto sub = children.find(d);
+    if (sub != children.end()) {
+      work.insert(work.end(), sub->second.begin(), sub->second.end());
+    }
+  }
+  return out;
 }
 
-// Record-level reads (attributes, adjacency, traversal) share their
-// implementation with `Database` (core/read_algorithms.h); record lookups
-// go to the version tries. The extent walks below mirror the `Database`
-// ones except that schema *children* walks go to the snapshot's copied
-// `subclasses`/`subrels` maps — the live vectors those BFS walks would
-// otherwise read are appended to by concurrent DDL.
+}  // namespace
 
-const ClassDef* DbSnapshot::FindClass(std::string_view name) const {
+// ------------------------------------------------------------------ schema
+
+const ClassDef* DbCut::FindClass(std::string_view name) const {
   auto it = schema_->classes_by_name.find(name);
   return it == schema_->classes_by_name.end() ? nullptr : it->second;
 }
 
-const RelationshipDef* DbSnapshot::FindRelationship(
-    std::string_view name) const {
+const RelationshipDef* DbCut::FindRelationship(std::string_view name) const {
   auto it = schema_->rels_by_name.find(name);
   return it == schema_->rels_by_name.end() ? nullptr : it->second;
 }
 
-std::vector<const ClassDef*> DbSnapshot::classes() const {
-  return schema_->classes_in_order;
+std::vector<const ClassDef*> DbCut::classes() const {
+  std::vector<const ClassDef*> out;
+  out.reserve(schema_->classes.size());
+  for (const auto& c : schema_->classes) out.push_back(c.get());
+  return out;
 }
 
-std::vector<const RelationshipDef*> DbSnapshot::relationships() const {
-  return schema_->rels_in_order;
+std::vector<const RelationshipDef*> DbCut::relationships() const {
+  std::vector<const RelationshipDef*> out;
+  out.reserve(schema_->relationships.size());
+  for (const auto& r : schema_->relationships) out.push_back(r.get());
+  return out;
 }
 
-Result<Value> DbSnapshot::GetAttribute(Oid oid,
-                                       const std::string& name) const {
-  return internal::GetAttributeOf(*this, oid, name);
+// ----------------------------------------------------------------- objects
+
+/// Attribute read with the inherited-attribute fallback over incoming links
+/// whose relationship class enables `inherit_attributes` (thesis 4.4.5).
+Result<Value> DbCut::GetAttribute(Oid oid, const std::string& name) const {
+  const Object* obj = GetObject(oid);
+  if (obj == nullptr) {
+    return Status::NotFound("no object @" + std::to_string(oid));
+  }
+  if (const Value* v = obj->Attr(name)) return *v;
+  for (Oid lid : obj->in_links) {
+    const Link* link = GetLink(lid);
+    if (link == nullptr || !link->def->semantics().inherit_attributes) {
+      continue;
+    }
+    if (const Value* v = link->Attr(name)) return *v;
+  }
+  return Status::NotFound("object @" + std::to_string(oid) +
+                          " has no attribute '" + name + "'");
 }
 
-bool DbSnapshot::IsInstanceOf(Oid oid, std::string_view class_name) const {
+bool DbCut::IsInstanceOf(Oid oid, std::string_view class_name) const {
   const Object* obj = GetObject(oid);
   if (obj == nullptr) return false;
   const ClassDef* cls = FindClass(class_name);
   return cls != nullptr && obj->cls->IsSubclassOf(cls);
 }
 
-const std::vector<const ClassDef*>* DbSnapshot::SubclassesOf(
-    const ClassDef* c) const {
-  auto it = schema_->subclasses.find(c);
-  return it == schema_->subclasses.end() ? nullptr : &it->second;
-}
-
-const std::vector<const RelationshipDef*>* DbSnapshot::SubrelsOf(
-    const RelationshipDef* d) const {
-  auto it = schema_->subrels.find(d);
-  return it == schema_->subrels.end() ? nullptr : &it->second;
-}
-
-std::vector<Oid> DbSnapshot::Extent(const std::string& class_name,
-                                    bool include_subclasses) const {
+std::vector<Oid> DbCut::Extent(const std::string& class_name,
+                               bool include_subclasses) const {
+  CheckShared();
   const ClassDef* cls = FindClass(class_name);
   if (cls == nullptr) return {};
-  std::vector<Oid> out;
-  std::deque<const ClassDef*> work{cls};
-  while (!work.empty()) {
-    const ClassDef* c = work.front();
-    work.pop_front();
-    auto it = extents_.find(c);
-    if (it != extents_.end()) {
-      out.insert(out.end(), it->second->begin(), it->second->end());
-    }
-    if (include_subclasses) {
-      if (const auto* subs = SubclassesOf(c)) {
-        for (const ClassDef* sub : *subs) work.push_back(sub);
-      }
-    }
+  return CollectExtent(cls, include_subclasses, extents_,
+                       schema_->subclasses);
+}
+
+// ------------------------------------------------------------------- links
+
+Result<Value> DbCut::GetLinkAttribute(Oid oid,
+                                      const std::string& name) const {
+  const Link* link = GetLink(oid);
+  if (link == nullptr) {
+    return Status::NotFound("no link @" + std::to_string(oid));
   }
-  return out;
+  if (const Value* v = link->Attr(name)) return *v;
+  return Status::NotFound("relationship '" + link->def->name() +
+                          "' has no attribute '" + name + "'");
 }
 
-Result<Value> DbSnapshot::GetLinkAttribute(Oid oid,
-                                           const std::string& name) const {
-  return internal::GetLinkAttributeOf(*this, oid, name);
-}
-
-std::vector<Oid> DbSnapshot::LinkExtent(const std::string& rel_name,
-                                        bool include_subrelationships) const {
+std::vector<Oid> DbCut::LinkExtent(const std::string& rel_name,
+                                   bool include_subrelationships) const {
+  CheckShared();
   const RelationshipDef* def = FindRelationship(rel_name);
   if (def == nullptr) return {};
+  return CollectExtent(def, include_subrelationships, link_extents_,
+                       schema_->subrels);
+}
+
+const std::vector<Oid>& DbCut::LinksInContext(Oid context) const {
+  CheckShared();
+  static const std::vector<Oid> kEmpty;
+  auto it = context_index_.find(context);
+  return it == context_index_.end() || it->second == nullptr ? kEmpty
+                                                              : *it->second;
+}
+
+// --------------------------------------------------------------- traversal
+
+std::vector<Oid> DbCut::IncidentLinks(Oid oid, Direction dir,
+                                      const RelationshipDef* def,
+                                      Oid context) const {
   std::vector<Oid> out;
-  std::deque<const RelationshipDef*> work{def};
-  while (!work.empty()) {
-    const RelationshipDef* d = work.front();
-    work.pop_front();
-    auto it = link_extents_.find(d);
-    if (it != link_extents_.end()) {
-      out.insert(out.end(), it->second->begin(), it->second->end());
-    }
-    if (include_subrelationships) {
-      if (const auto* subs = SubrelsOf(d)) {
-        for (const RelationshipDef* sub : *subs) work.push_back(sub);
-      }
-    }
+  if (const Object* obj = GetObject(oid)) {
+    ForEachIncident(*this, *obj, dir, def, context,
+                    [&out](const Link& link) { out.push_back(link.oid); });
   }
   return out;
 }
 
-const std::vector<Oid>& DbSnapshot::LinksInContext(Oid context) const {
-  static const std::vector<Oid> kEmpty;
-  auto it = context_index_.find(context);
-  return it == context_index_.end() ? kEmpty : *it->second;
+std::vector<Oid> DbCut::Neighbors(Oid oid, const std::string& rel_name,
+                                  Direction dir, Oid context) const {
+  std::vector<Oid> out;
+  if (const RelationshipDef* def = FindRelationship(rel_name)) {
+    AppendNeighbors(*this, oid, def, dir, context, &out);
+  }
+  return out;
 }
 
-std::vector<Oid> DbSnapshot::IncidentLinks(Oid oid, Direction dir,
-                                           const RelationshipDef* def,
-                                           Oid context) const {
-  return internal::IncidentLinksOf(*this, oid, dir, def, context);
+Result<std::vector<Oid>> DbCut::Traverse(Oid start,
+                                         const std::string& rel_name,
+                                         std::uint32_t min_depth,
+                                         std::uint32_t max_depth,
+                                         Direction dir, Oid context) const {
+  const RelationshipDef* def = FindRelationship(rel_name);
+  if (def == nullptr) {
+    return Status::NotFound("unknown relationship '" + rel_name + "'");
+  }
+  if (GetObject(start) == nullptr) {
+    return Status::NotFound("no object @" + std::to_string(start));
+  }
+  if (max_depth != 0 && min_depth > max_depth) {
+    return Status::InvalidArgument("min_depth exceeds max_depth");
+  }
+  std::vector<Oid> result;
+  std::unordered_set<Oid> visited{start};
+  std::deque<std::pair<Oid, std::uint32_t>> frontier{{start, 0}};
+  std::vector<Oid> next;
+  if (min_depth == 0) result.push_back(start);
+  while (!frontier.empty()) {
+    auto [oid, depth] = frontier.front();
+    frontier.pop_front();
+    if (max_depth != 0 && depth == max_depth) continue;
+    next.clear();
+    AppendNeighbors(*this, oid, def, dir, context, &next);
+    for (Oid n : next) {
+      if (!visited.insert(n).second) continue;
+      std::uint32_t d = depth + 1;
+      if (d >= min_depth) result.push_back(n);
+      frontier.emplace_back(n, d);
+    }
+  }
+  return result;
 }
 
-std::vector<Oid> DbSnapshot::Neighbors(Oid oid, const std::string& rel_name,
-                                       Direction dir, Oid context) const {
-  return internal::NeighborsOf(*this, oid, rel_name, dir, context);
-}
+// ---------------------------------------------------------------- synonyms
 
-Result<std::vector<Oid>> DbSnapshot::Traverse(Oid start,
-                                              const std::string& rel_name,
-                                              std::uint32_t min_depth,
-                                              std::uint32_t max_depth,
-                                              Direction dir,
-                                              Oid context) const {
-  return internal::TraverseOf(*this, start, rel_name, min_depth, max_depth,
-                              dir, context);
-}
-
-Oid DbSnapshot::CanonicalOf(Oid oid) const {
+Oid DbCut::CanonicalOf(Oid oid) const {
+  if (synonym_parent_ == nullptr) return oid;
   Oid cur = oid;
   for (;;) {
     auto it = synonym_parent_->find(cur);
@@ -169,14 +241,16 @@ Oid DbSnapshot::CanonicalOf(Oid oid) const {
   }
 }
 
-bool DbSnapshot::AreSynonyms(Oid a, Oid b) const {
+bool DbCut::AreSynonyms(Oid a, Oid b) const {
   return CanonicalOf(a) == CanonicalOf(b);
 }
 
-std::vector<Oid> DbSnapshot::SynonymSet(Oid oid) const {
+std::vector<Oid> DbCut::SynonymSet(Oid oid) const {
+  CheckShared();
   Oid root = CanonicalOf(oid);
   std::vector<Oid> out;
   if (GetObject(root) != nullptr) out.push_back(root);
+  if (synonym_parent_ == nullptr) return out;
   for (const auto& [child, parent] : *synonym_parent_) {
     (void)parent;
     if (child != root && CanonicalOf(child) == root &&
@@ -185,6 +259,17 @@ std::vector<Oid> DbSnapshot::SynonymSet(Oid oid) const {
     }
   }
   return out;
+}
+
+// --------------------------------------------------------------- snapshots
+
+DbSnapshot::DbSnapshot(const DbCut& cut, std::uint64_t epoch)
+    : DbCut(cut), epoch_(epoch) {
+  mvcc::internal::g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
+}
+
+DbSnapshot::~DbSnapshot() {
+  mvcc::internal::g_live_snapshots.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void SnapshotHandle::Release() {

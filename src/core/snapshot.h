@@ -1,7 +1,6 @@
 #ifndef PROMETHEUS_CORE_SNAPSHOT_H_
 #define PROMETHEUS_CORE_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -14,7 +13,7 @@
 #include "common/result.h"
 #include "common/value.h"
 #include "core/instance.h"
-#include "core/oid_trie.h"
+#include "core/oid_table.h"
 #include "core/read_view.h"
 #include "core/schema.h"
 
@@ -22,158 +21,206 @@ namespace prometheus {
 
 class Database;
 
-namespace mvcc {
-namespace internal {
-// Version/snapshot accounting. Deliberately *not* behind the
-// `obs::MetricsEnabled()` kill switch: tests assert GC behaviour
-// (superseded versions actually freed) with metrics off, and two relaxed
-// counters cost nothing measurable. The same numbers are mirrored into the
-// `mvcc_*` gauges for /debug/contention and /metrics.
-extern std::atomic<std::uint64_t> g_retained_versions;
-extern std::atomic<std::uint64_t> g_live_snapshots;
-}  // namespace internal
-
-/// Object/link versions currently alive (live store + every version kept
-/// alive only by a published or pinned snapshot).
-inline std::uint64_t RetainedVersions() {
-  return internal::g_retained_versions.load(std::memory_order_relaxed);
-}
-
-/// DbSnapshot instances currently alive (the published one + pinned ones).
-inline std::uint64_t LiveSnapshots() {
-  return internal::g_live_snapshots.load(std::memory_order_relaxed);
-}
-
-/// Deep-copies `src` into a counted immutable version. The custom deleter
-/// decrements the retained-version count, so `RetainedVersions()` tracks
-/// exactly the versions still reachable from some snapshot — the number GC
-/// (snapshot release dropping the last reference) must drive back down.
-template <typename T>
-std::shared_ptr<const T> MakeVersion(const T& src) {
-  internal::g_retained_versions.fetch_add(1, std::memory_order_relaxed);
-  return std::shared_ptr<const T>(new T(src), [](const T* p) {
-    internal::g_retained_versions.fetch_sub(1, std::memory_order_relaxed);
-    delete p;
-  });
-}
-}  // namespace mvcc
-
-/// Immutable schema tables of one snapshot: name→definition maps plus the
-/// *copied* children adjacency (`subclasses`/`subrels`). The copies matter:
-/// the live `ClassDef::subclasses_` / `RelationshipDef::subs_` vectors are
-/// appended to by later DDL, so a snapshot's extent BFS must not read them.
-/// Everything else on a definition (name, supers, attributes, semantics,
-/// endpoints) is frozen once defined and safely shared.
+/// Schema tables of one cut: the definitions in definition order, the
+/// name→definition maps and a *copied* children adjacency
+/// (`subclasses`/`subrels`). The copies matter: the `ClassDef::subclasses_`
+/// / `RelationshipDef::subs_` vectors are appended to by later DDL, so a
+/// snapshot's extent walk must not read them. Everything else on a
+/// definition (name, supers, attributes, semantics, endpoints) is frozen
+/// once defined and safely shared.
 ///
-/// The keep-alive vectors pin the definition objects themselves so object
-/// versions retained by old snapshots keep valid `cls`/`def` pointers even
-/// across `Database::Clear()` (follower rebootstrap).
+/// The definitions are owned here, so record versions retained by old
+/// snapshots keep valid `cls`/`def` pointers even across
+/// `Database::Clear()` (follower rebootstrap).
 struct SchemaTables {
+  std::vector<std::shared_ptr<const ClassDef>> classes;
+  std::vector<std::shared_ptr<const RelationshipDef>> relationships;
   NameMap<const ClassDef*> classes_by_name;
   NameMap<const RelationshipDef*> rels_by_name;
-  std::vector<const ClassDef*> classes_in_order;
-  std::vector<const RelationshipDef*> rels_in_order;
   std::unordered_map<const ClassDef*, std::vector<const ClassDef*>>
       subclasses;
   std::unordered_map<const RelationshipDef*,
                      std::vector<const RelationshipDef*>>
       subrels;
-  std::vector<std::shared_ptr<const ClassDef>> class_keep_alive;
-  std::vector<std::shared_ptr<const RelationshipDef>> rel_keep_alive;
 };
 
-/// A consistent immutable cut of the whole database at one epoch. Readers
-/// traverse it with **no lock of any kind**: every container reachable from
-/// here is frozen at publish time, and structure shared with newer versions
-/// is copy-on-write (`OidTrie` path copying, per-extent vector replacement).
+/// The whole state of the database as one copy-on-write cut: the record
+/// tables, the extents, link extents and context buckets, the synonym map
+/// and the schema tables. The live `Database` *is* a cut, which its single
+/// writer mutates; a published `DbSnapshot` is a copy of it, taken by
+/// copy-constructing this class — one pointer per record page and per
+/// class, relationship and context bucket.
 ///
-/// Built and published by `Database` at the end of every write section;
-/// acquired by readers as a `SnapshotHandle`. All `ReadView` methods give
-/// exactly the answers the live database would have given at `epoch()`.
-class DbSnapshot final : public ReadView {
+/// Every shared structure is written through `mvcc::Unshare`'s rule (and
+/// the record tables through `OidTable`'s), so the writer clones only what
+/// a published snapshot still shares and updates in place after that.
+/// Until the first snapshot is taken nothing is shared and nothing is
+/// cloned.
+///
+/// Every `ReadView` read is implemented once, here, for both the live
+/// database and snapshots.
+class DbCut : public ReadView {
  public:
-  ~DbSnapshot() override;
+  // ---------------------------------------------------------------- schema
 
-  DbSnapshot& operator=(const DbSnapshot&) = delete;
-
-  std::uint64_t epoch() const override { return epoch_; }
-  std::uint64_t index_epoch_ceiling() const override { return epoch_; }
-
+  /// Looks up a class by name; nullptr when absent.
   const ClassDef* FindClass(std::string_view name) const override;
+
+  /// Looks up a relationship class by name; nullptr when absent.
   const RelationshipDef* FindRelationship(
       std::string_view name) const override;
+
+  /// All defined classes, in definition order.
   std::vector<const ClassDef*> classes() const override;
+
+  /// All defined relationship classes, in definition order.
   std::vector<const RelationshipDef*> relationships() const override;
 
+  // --------------------------------------------------------------- objects
+
+  /// Reads an attribute. Falls back to attributes inherited from incoming
+  /// links whose relationship class enables `inherit_attributes`
+  /// (thesis 4.4.5, figures 17–18).
   Result<Value> GetAttribute(Oid oid, const std::string& name) const override;
-  const Object* GetObject(Oid oid) const override {
+
+  /// Non-owning instance lookup; nullptr when the oid is dead or unknown.
+  const Object* GetObject(Oid oid) const final {
+    CheckShared();
     return objects_.Find(oid);
   }
+
+  /// True when `oid` designates a live object of `class_name` (or one of
+  /// its subclasses).
   bool IsInstanceOf(Oid oid, std::string_view class_name) const override;
+
+  /// The extent of a class; with `include_subclasses` (the default) this is
+  /// the deep extent.
   std::vector<Oid> Extent(const std::string& class_name,
                           bool include_subclasses = true) const override;
-  std::size_t object_count() const override { return live_objects_; }
 
+  /// Number of live objects.
+  std::size_t object_count() const override { return objects_.size(); }
+
+  // ----------------------------------------------------------------- links
+
+  /// Reads a link attribute.
   Result<Value> GetLinkAttribute(Oid oid,
                                  const std::string& name) const override;
-  const Link* GetLink(Oid oid) const override { return links_.Find(oid); }
+
+  /// Non-owning link lookup; nullptr when dead or unknown.
+  const Link* GetLink(Oid oid) const final {
+    CheckShared();
+    return links_.Find(oid);
+  }
+
+  /// All live links of a relationship class (its extent); with
+  /// `include_subrelationships`, links of sub-relationship classes too.
   std::vector<Oid> LinkExtent(const std::string& rel_name,
                               bool include_subrelationships = true)
       const override;
-  const std::vector<Oid>& LinksInContext(Oid context) const override;
-  std::size_t link_count() const override { return live_links_; }
 
+  /// All live links whose classification context is `context` (thesis
+  /// 4.6.2: a classification *is* the set of links created in its context).
+  /// Maintained incrementally; O(result).
+  const std::vector<Oid>& LinksInContext(Oid context) const override;
+
+  /// Number of live links.
+  std::size_t link_count() const override { return links_.size(); }
+
+  // ------------------------------------------------------------- traversal
+
+  /// Links incident to `oid` in `dir`, optionally restricted to a
+  /// relationship class (and its subs) and/or a classification context.
   std::vector<Oid> IncidentLinks(Oid oid, Direction dir,
                                  const RelationshipDef* def = nullptr,
                                  Oid context = kNullOid) const override;
+
+  /// Objects one hop away from `oid` over `rel_name` links.
+  /// `context == kNullOid` means "any context".
   std::vector<Oid> Neighbors(Oid oid, const std::string& rel_name,
                              Direction dir = Direction::kOut,
                              Oid context = kNullOid) const override;
+
+  /// Recursive closure (requirement 9): every object reachable from `start`
+  /// over `rel_name` links within `[min_depth, max_depth]` hops
+  /// (`max_depth == 0` means unbounded). Breadth-first; each object is
+  /// reported once at its smallest depth. The start itself is reported only
+  /// when `min_depth == 0`.
   Result<std::vector<Oid>> Traverse(Oid start, const std::string& rel_name,
                                     std::uint32_t min_depth,
                                     std::uint32_t max_depth,
                                     Direction dir = Direction::kOut,
                                     Oid context = kNullOid) const override;
 
+  // ----------------------------------------------- instance synonyms (4.5)
+
+  /// True when the two oids are in the same synonym set (reflexive).
   bool AreSynonyms(Oid a, Oid b) const override;
+
+  /// Canonical representative of `oid`'s synonym set (itself if alone).
   Oid CanonicalOf(Oid oid) const override;
+
+  /// All *live* members of `oid`'s synonym set, including `oid` when it is
+  /// alive. Synonym chains survive member deletion (the remaining
+  /// duplicates stay unified), but deleted members are not reported.
   std::vector<Oid> SynonymSet(Oid oid) const override;
+
+  /// Debug check of the reader's side of the locking protocol, run by the
+  /// record and extent reads in debug builds. An immutable snapshot needs
+  /// none; the live `Database` overrides it.
+  virtual void AssertSharedAccess() const {}
+
+ protected:
+  DbCut() : schema_(std::make_shared<SchemaTables>()) {}
+  DbCut(const DbCut&) = default;
+  DbCut& operator=(const DbCut&) = delete;
+
+  void CheckShared() const {
+#ifndef NDEBUG
+    AssertSharedAccess();
+#endif
+  }
+
+  // Record versions, each stored once, shared with the snapshots taken
+  // since it was last written.
+  OidTable<Object> objects_;
+  OidTable<Link> links_;
+
+  // Secondary structures, shared with snapshots until written. Absent key
+  // or null == empty.
+  std::unordered_map<const ClassDef*, std::shared_ptr<std::vector<Oid>>>
+      extents_;
+  std::unordered_map<const RelationshipDef*,
+                     std::shared_ptr<std::vector<Oid>>>
+      link_extents_;
+  std::unordered_map<Oid, std::shared_ptr<std::vector<Oid>>> context_index_;
+
+  // Synonyms: parent pointers of a union-find without path compression
+  // (undoability); absent key == singleton set, null == no synonyms.
+  std::shared_ptr<std::unordered_map<Oid, Oid>> synonym_parent_;
+  std::shared_ptr<SchemaTables> schema_;
+};
+
+/// A consistent immutable cut of the whole database at one epoch. Readers
+/// traverse it with **no lock of any kind**: the writer never writes a
+/// page, record or structure a snapshot shares (see `DbCut`).
+///
+/// Published by `Database` at the end of every write section; acquired by
+/// readers as a `SnapshotHandle`. All `ReadView` methods give exactly the
+/// answers the live database gave at `epoch()`.
+class DbSnapshot final : public DbCut {
+ public:
+  ~DbSnapshot() override;
+
+  std::uint64_t epoch() const override { return epoch_; }
+  std::uint64_t index_epoch_ceiling() const override { return epoch_; }
 
  private:
   friend class Database;
 
-  DbSnapshot();
-  /// Incremental build: the next snapshot starts as an O(1) structural
-  /// share of the previous one; the writer then replaces only what a dirty
-  /// set names.
-  DbSnapshot(const DbSnapshot& prev);
+  DbSnapshot(const DbCut& cut, std::uint64_t epoch);
 
-  const std::vector<const ClassDef*>* SubclassesOf(const ClassDef* c) const;
-  const std::vector<const RelationshipDef*>* SubrelsOf(
-      const RelationshipDef* d) const;
-
-  std::uint64_t epoch_ = 0;
-
-  // Record versions (deep copies of live Object/Link state, shared across
-  // consecutive snapshots until superseded).
-  OidTrie<Object> objects_;
-  OidTrie<Link> links_;
-
-  // Secondary structures: whole-vector replacement on change, shared
-  // otherwise. Absent key == empty.
-  std::unordered_map<const ClassDef*, std::shared_ptr<const std::vector<Oid>>>
-      extents_;
-  std::unordered_map<const RelationshipDef*,
-                     std::shared_ptr<const std::vector<Oid>>>
-      link_extents_;
-  std::unordered_map<Oid, std::shared_ptr<const std::vector<Oid>>>
-      context_index_;
-
-  std::shared_ptr<const std::unordered_map<Oid, Oid>> synonym_parent_;
-  std::shared_ptr<const SchemaTables> schema_;
-
-  std::size_t live_objects_ = 0;
-  std::size_t live_links_ = 0;
+  std::uint64_t epoch_;
 };
 
 /// Move-only RAII pin of one snapshot. While alive, the snapshot (and every

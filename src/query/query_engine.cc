@@ -1221,10 +1221,10 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
     const {
   // Const-execution contract: this path never mutates the database. When
   // the thread reads through a pinned snapshot the epoch is immutable by
-  // construction; when it reads the live database the caller must hold
-  // the epoch guard, so no writer can interleave and the epoch is stable
-  // across the run. An epoch change here means a racing writer (a skipped
-  // ReadGuard on the live path).
+  // construction; the live database is read only by the thread that
+  // writes it, so no write section can complete during the run. An epoch
+  // change here means another thread committed while this one read the
+  // live database instead of a snapshot.
 #ifndef NDEBUG
   const std::uint64_t epoch_at_entry = view().epoch();
 #endif
@@ -1520,8 +1520,8 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
   metrics.rows_scanned->Increment(scanned);
   metrics.rows_returned->Increment(result.rows.size());
   assert(view().epoch() == epoch_at_entry &&
-         "database mutated during const query execution — caller must hold "
-         "Database::ReadGuard");
+         "a write committed during a live-database query — concurrent "
+         "readers must pin a snapshot (Database::AcquireSnapshot)");
   return result;
 }
 

@@ -59,9 +59,12 @@ struct QueryProfile {
 /// `DbSnapshot` — directly via the `ReadView` overloads below or with a
 /// `ScopedReadView` — execution is wait-free against writers and the
 /// engine never touches the live database. With no view installed, reads
-/// fall back to the live database, where the legacy contract applies: the
-/// caller must hold a `Database::ReadGuard`, enforced in debug builds by
-/// the epoch-stability assert at the end of every execution.
+/// go to the live database, which only the thread writing it may read
+/// unguarded: embedded single-threaded use, or rule callbacks inside the
+/// writer's own write section. Any other thread reads a pinned snapshot
+/// (the server pins one per request). Debug builds assert at the end of
+/// every execution that the epoch did not move, i.e. that no write section
+/// committed under a live-database read.
 class QueryEngine {
  public:
   /// `db` (and `indexes`, when given) must outlive the engine.

@@ -177,8 +177,8 @@ struct Response {
   pool::ResultSet result;   ///< rows (kQuery); stage table (PROFILE)
   Oid oid = kNullOid;       ///< created oid (kCreateObject / kCreateLink)
   std::uint64_t epoch = 0;  ///< database epoch the request executed at
-  /// Rendered text payload: the health summary (kHealth), the cache stats
-  /// (kCacheControl) or the span tree of a PROFILE query.
+  /// Rendered text payload: the health summary (kHealth) or the span tree
+  /// of a PROFILE query.
   std::string text;
   /// True when the request began executing on a worker. The retry policy
   /// keys off this: a request that never executed is always safe to

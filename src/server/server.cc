@@ -287,10 +287,9 @@ Server::Server(Database* db, Options options)
     return Status::Ok();
   });
   // Engage MVCC publication now, while construction is still
-  // single-threaded: the first AcquireSnapshot pays the full materialized
-  // build (it quiesces via a ReadGuard), and doing it here keeps that cost
-  // off the first query's latency — and off any code path that might
-  // otherwise first acquire while a writer churns.
+  // single-threaded: the first AcquireSnapshot takes the guard shared to
+  // publish the first copy of the cut, so doing it here keeps any request
+  // from waiting behind a writer for engagement.
   (void)db_->AcquireSnapshot();
 }
 
@@ -1085,7 +1084,6 @@ Response Server::ExecuteCacheControl(RequestId id, const Request& req) {
   }
   // Every op reports the post-op state, so `.cache clear` shows the
   // emptied cache it produced.
-  resp.text = query_cache_.StatsJson();
   // One canonical rendering shared with `sys.cache`: the rows here are
   // exactly QueryCacheStats::Fields(), so the two surfaces cannot drift.
   resp.result.columns = {"field", "value"};

@@ -174,7 +174,8 @@ class Server {
   Health health() const;
 
   /// The two-tier query cache (see cache/query_cache.h). Thread-safe;
-  /// `query_cache().StatsJson()` / `Clear()` are what kCacheControl runs.
+  /// kCacheControl runs `Clear()` / `SetEnabled()` and answers with
+  /// `query_cache().Stats().Fields()` as field/value rows.
   cache::QueryCache& query_cache() { return query_cache_; }
 
   /// The virtual `sys.*` system catalog this server registered over its

@@ -269,12 +269,16 @@ TEST(ServerCacheTest, CacheControlRoundTrip) {
   ASSERT_TRUE(client->Call(Request::Query(q)).ok());
   ASSERT_TRUE(client->Call(Request::Query(q)).cache_hit);
 
-  // stats: a field/value table plus the JSON payload.
+  // stats: a field/value table covering both tiers.
   Response stats = client->Call(Request::CacheControl(CacheOp::kStats));
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats.result.columns.size(), 2u);
-  EXPECT_NE(stats.text.find("\"result\""), std::string::npos);
-  EXPECT_NE(stats.text.find("\"plan\""), std::string::npos);
+  std::string fields;
+  for (const auto& row : stats.result.rows) {
+    fields += row[0].AsString() + "=" + row[1].AsString() + "\n";
+  }
+  EXPECT_NE(fields.find("result_"), std::string::npos);
+  EXPECT_NE(fields.find("plan_"), std::string::npos);
 
   // clear: the warmed entry is gone, the next run misses.
   ASSERT_TRUE(client->Call(Request::CacheControl(CacheOp::kClear)).ok());

@@ -914,7 +914,7 @@ TEST(OidTableTest, PageEdgesTakeAndPut) {
   table.Put(50000, std::make_unique<int>(50000));
   EXPECT_EQ(table.Find(1023), at_1023);
 
-  std::unique_ptr<int> taken = table.Take(1024);
+  OidTable<int>::Version taken = table.Take(1024);
   ASSERT_NE(taken, nullptr);
   EXPECT_EQ(*taken, 1024);
   EXPECT_EQ(table.Find(1024), nullptr);

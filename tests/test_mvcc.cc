@@ -1,8 +1,9 @@
-// MVCC snapshot reads (src/core/oid_trie.h, snapshot.h, database.h and the
+// MVCC snapshot reads (src/core/oid_table.h, snapshot.h, database.h and the
 // server read path built on them):
 //
-//  - the persistent OidTrie version store: path copying, root growth,
-//    structural sharing between consecutive versions;
+//  - the persistent OidTable record store: copy-on-write pages and
+//    records, directory growth, structural sharing between a table and its
+//    copies;
 //  - snapshot semantics: a pinned `DbSnapshot` is a frozen consistent cut —
 //    later commits, in-flight write sections, DDL and aborted transactions
 //    are all invisible to it, and a fresh acquire sees exactly the live
@@ -32,7 +33,7 @@
 
 #include "cache/result_cache.h"
 #include "core/database.h"
-#include "core/oid_trie.h"
+#include "core/oid_table.h"
 #include "core/snapshot.h"
 #include "query/query_engine.h"
 #include "server/client.h"
@@ -44,7 +45,7 @@ using prometheus::AttributeDef;
 using prometheus::Database;
 using prometheus::DbSnapshot;
 using prometheus::Oid;
-using prometheus::OidTrie;
+using prometheus::OidTable;
 using prometheus::SnapshotHandle;
 using prometheus::Status;
 using prometheus::Value;
@@ -69,64 +70,71 @@ int SoakSeconds() {
   return parsed > 0 ? parsed : 1;
 }
 
-// ----------------------------------------------------------------- OidTrie
+// ---------------------------------------------------------------- OidTable
 
-TEST(OidTrieTest, SetFindEraseAcrossRootGrowth) {
-  OidTrie<int> trie;
-  EXPECT_TRUE(trie.empty());
-  EXPECT_EQ(trie.Find(1), nullptr);
+TEST(OidTableTest, SetFindEraseAcrossDirectoryGrowth) {
+  OidTable<int> table;
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.Find(1), nullptr);
 
-  // Keys straddling several slot boundaries, including ones that force the
-  // root to grow (64 = height 2, 64^3 + 5 = height 4).
+  // Keys straddling several page boundaries, including ones that force the
+  // page directory to grow (4096 = page 4, 262144 + 5 = page 256).
   const Oid keys[] = {1, 63, 64, 65, 4095, 4096, 262144 + 5};
   for (Oid k : keys) {
-    trie.Set(k, std::make_shared<const int>(static_cast<int>(k * 10)));
+    table.Put(k, std::make_shared<int>(static_cast<int>(k * 10)));
   }
   for (Oid k : keys) {
-    ASSERT_NE(trie.Find(k), nullptr) << "key " << k;
-    EXPECT_EQ(*trie.Find(k), static_cast<int>(k * 10));
+    ASSERT_NE(table.Find(k), nullptr) << "key " << k;
+    EXPECT_EQ(*table.Find(k), static_cast<int>(k * 10));
   }
-  EXPECT_EQ(trie.Find(2), nullptr);
-  EXPECT_EQ(trie.Find(262144 + 6), nullptr);
+  EXPECT_EQ(table.Find(2), nullptr);
+  EXPECT_EQ(table.Find(262144 + 6), nullptr);
 
-  trie.Erase(64);
-  EXPECT_EQ(trie.Find(64), nullptr);
-  EXPECT_NE(trie.Find(63), nullptr);
-  EXPECT_NE(trie.Find(65), nullptr);
-  trie.Erase(64);  // idempotent
-  EXPECT_EQ(trie.Find(64), nullptr);
+  table.Take(64);
+  EXPECT_EQ(table.Find(64), nullptr);
+  EXPECT_NE(table.Find(63), nullptr);
+  EXPECT_NE(table.Find(65), nullptr);
+  table.Take(64);  // idempotent
+  EXPECT_EQ(table.Find(64), nullptr);
 
-  // Overwrite keeps the latest version only.
-  trie.Set(1, std::make_shared<const int>(999));
-  EXPECT_EQ(*trie.Find(1), 999);
+  // Overwrite keeps the latest version only; with no copy sharing the
+  // table, the write is in place.
+  const int* before = table.Find(1);
+  *table.Mutable(1) = 999;
+  EXPECT_EQ(*table.Find(1), 999);
+  EXPECT_EQ(table.Find(1), before);
 }
 
-TEST(OidTrieTest, CopiesAreImmutableAndStructurallyShared) {
-  OidTrie<int> trie;
+TEST(OidTableTest, CopiesAreImmutableAndStructurallyShared) {
+  OidTable<int> table;
   for (Oid k = 1; k <= 200; ++k) {
-    trie.Set(k, std::make_shared<const int>(static_cast<int>(k)));
+    table.Put(k, std::make_shared<int>(static_cast<int>(k)));
   }
 
-  OidTrie<int> snapshot = trie;  // O(1) structural share
+  OidTable<int> snapshot = table;  // one pointer per page
   // The untouched entries are literally the same version objects.
-  EXPECT_EQ(snapshot.Find(7), trie.Find(7));
+  EXPECT_EQ(snapshot.Find(7), table.Find(7));
 
-  // Mutating the live trie path-copies around the shared structure: the
-  // snapshot keeps the old version, untouched keys stay shared.
-  trie.Set(7, std::make_shared<const int>(-7));
-  trie.Erase(100);
-  trie.Set(500, std::make_shared<const int>(500));
+  // Writing the table clones around the shared structure: the snapshot
+  // keeps the old version, untouched keys stay shared.
+  *table.Mutable(7) = -7;
+  table.Take(100);
+  table.Put(500, std::make_shared<int>(500));
 
-  EXPECT_EQ(*trie.Find(7), -7);
+  EXPECT_EQ(*table.Find(7), -7);
   ASSERT_NE(snapshot.Find(7), nullptr);
   EXPECT_EQ(*snapshot.Find(7), 7);
-  EXPECT_EQ(trie.Find(100), nullptr);
+  EXPECT_EQ(table.Find(100), nullptr);
   ASSERT_NE(snapshot.Find(100), nullptr);
   EXPECT_EQ(*snapshot.Find(100), 100);
   EXPECT_EQ(snapshot.Find(500), nullptr);
-  EXPECT_NE(trie.Find(500), nullptr);
-  // A key in an untouched subtree is still the shared version.
-  EXPECT_EQ(snapshot.Find(3), trie.Find(3));
+  EXPECT_NE(table.Find(500), nullptr);
+  // A key no write touched is still the shared version.
+  EXPECT_EQ(snapshot.Find(3), table.Find(3));
+  // Once cloned, the table's own version is written in place.
+  int* own = table.Mutable(7);
+  EXPECT_EQ(own, table.Find(7));
+  EXPECT_EQ(table.Mutable(7), own);
 }
 
 // ---------------------------------------------------------------- fixture
@@ -303,6 +311,55 @@ TEST_F(MvccSnapshotTest, AbortedTransactionNeverVisibleInAnySnapshot) {
   EXPECT_EQ(snap->GetAttribute(recs_[2], "a").value().AsInt(), 2);
   EXPECT_EQ(snap->Extent("Rec").size(), 4u);
   EXPECT_EQ(snap->object_count(), db_.object_count());
+}
+
+TEST_F(MvccSnapshotTest, GuardlessMutationsAfterEngagementReachNextAcquire) {
+  SnapshotHandle pinned = db_.AcquireSnapshot();  // engages publication
+  const std::uint64_t epoch = db_.epoch();
+
+  // Single-threaded use needs no guard, engaged or not: update, create,
+  // link, synonym and delete with no WriteGuard held.
+  ASSERT_TRUE(db_.SetAttribute(recs_[0], "a", Value::Int(100)).ok());
+  auto fresh = db_.CreateObject("Rec", {{"name", Value::String("late")},
+                                        {"a", Value::Int(9)},
+                                        {"b", Value::Int(9)}});
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(db_.CreateLink("refs", recs_[2], fresh.value()).ok());
+  ASSERT_TRUE(db_.DeclareSynonym(recs_[1], recs_[2]).ok());
+  ASSERT_TRUE(db_.DeleteObject(recs_[3]).ok());
+
+  // They complete no write section, so the epoch does not move.
+  EXPECT_EQ(db_.epoch(), epoch);
+
+  // The next acquire sees every one of them, at the same epoch.
+  SnapshotHandle now = db_.AcquireSnapshot();
+  EXPECT_EQ(now->epoch(), epoch);
+  EXPECT_EQ(now->GetAttribute(recs_[0], "a").value().AsInt(), 100);
+  EXPECT_NE(now->GetObject(fresh.value()), nullptr);
+  EXPECT_EQ(now->GetObject(recs_[3]), nullptr);
+  EXPECT_EQ(now->Extent("Rec"), db_.Extent("Rec"));
+  EXPECT_EQ(now->Neighbors(recs_[2], "refs"),
+            std::vector<Oid>{fresh.value()});
+  EXPECT_TRUE(now->AreSynonyms(recs_[1], recs_[2]));
+  EXPECT_EQ(now->object_count(), db_.object_count());
+  EXPECT_EQ(now->link_count(), db_.link_count());
+
+  // The snapshot pinned before them does not.
+  EXPECT_EQ(pinned->epoch(), epoch);
+  EXPECT_EQ(pinned->GetAttribute(recs_[0], "a").value().AsInt(), 0);
+  EXPECT_EQ(pinned->GetObject(fresh.value()), nullptr);
+  EXPECT_NE(pinned->GetObject(recs_[3]), nullptr);
+  EXPECT_EQ(pinned->Extent("Rec"), recs_);
+  EXPECT_TRUE(pinned->Neighbors(recs_[2], "refs").empty());
+  EXPECT_FALSE(pinned->AreSynonyms(recs_[1], recs_[2]));
+
+  // A guard-less mutation after that acquire is again invisible to it and
+  // reaches the one after.
+  ASSERT_TRUE(db_.SetAttribute(recs_[0], "a", Value::Int(200)).ok());
+  EXPECT_EQ(now->GetAttribute(recs_[0], "a").value().AsInt(), 100);
+  EXPECT_EQ(db_.AcquireSnapshot()->GetAttribute(recs_[0], "a").value().AsInt(),
+            200);
+  EXPECT_EQ(db_.epoch(), epoch);
 }
 
 // --------------------------------------------------------------------- GC

@@ -1,13 +1,19 @@
 // Property-based tests: randomized operation sequences checked against
 // system-wide invariants — rollback equivalence, snapshot/journal
-// round-trip fidelity, traversal laws, synonym equivalence laws.
+// round-trip fidelity, traversal laws, synonym equivalence laws, and MVCC
+// snapshots that stay frozen while the writer runs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "core/database.h"
 #include "storage/journal.h"
@@ -419,18 +425,209 @@ TEST_P(FuzzSeeds, LiveAndSnapshotTraversalsAgree) {
     return out;
   };
   {
-    // A full snapshot build.
+    // The first publish, at engagement.
     SnapshotHandle snap = db.AcquireSnapshot();
     ExpectTraversalsAgree(db, *snap, probes(), contexts);
   }
-  // Incremental builds: mutations in write sections, each publishing the
-  // next snapshot from the previous one and the dirty set.
+  // Later publishes: mutations in write sections, each cloning what the
+  // previous snapshot shares before writing it.
   for (int i = 0; i < 60; ++i) {
     Database::WriteGuard guard(db);
     RandomGraphOp(&db, &rng, contexts);
   }
   SnapshotHandle snap = db.AcquireSnapshot();
   ExpectTraversalsAgree(db, *snap, probes(), contexts);
+}
+
+// ------------------------------------------------------ frozen snapshots
+
+/// Everything a reader can observe of `view`, as text: every record
+/// (class, attributes, adjacency, extent and context positions), every
+/// extent and link extent in order, every object's context bucket and the
+/// synonym partition.
+std::string Fingerprint(const ReadView& view) {
+  std::ostringstream out;
+  auto oids = [&out](const char* tag, const std::vector<Oid>& v) {
+    out << tag;
+    for (Oid o : v) out << ' ' << o;
+    out << '\n';
+  };
+  out << "epoch " << view.epoch() << " objects " << view.object_count()
+      << " links " << view.link_count() << '\n';
+  std::vector<Oid> objects;
+  for (const ClassDef* cls : view.classes()) {
+    const std::vector<Oid> extent = view.Extent(cls->name(), false);
+    out << "class " << cls->name();
+    oids("", extent);
+    objects.insert(objects.end(), extent.begin(), extent.end());
+  }
+  for (Oid oid : objects) {
+    const Object* obj = view.GetObject(oid);
+    if (obj == nullptr) {  // an extent naming a dead record
+      out << '@' << oid << " missing\n";
+      continue;
+    }
+    out << '@' << oid << ' ' << obj->cls->name() << " pos " << obj->extent_pos
+        << " canonical " << view.CanonicalOf(oid);
+    ForEachAttribute(*obj, [&out](const std::string& name, const Value& v) {
+      out << ' ' << name << '=' << v.ToString();
+    });
+    oids("\n out", obj->out_links);
+    oids(" in", obj->in_links);
+    oids(" ctx", view.LinksInContext(oid));
+  }
+  for (const RelationshipDef* rel : view.relationships()) {
+    const std::vector<Oid> extent = view.LinkExtent(rel->name(), false);
+    out << "rel " << rel->name();
+    oids("", extent);
+    for (Oid lid : extent) {
+      const Link* link = view.GetLink(lid);
+      if (link == nullptr) {
+        out << '#' << lid << " missing\n";
+        continue;
+      }
+      out << '#' << lid << ' ' << link->source << "->" << link->target
+          << " ctx " << link->context << " pos " << link->extent_pos << '/'
+          << link->ctx_pos;
+      ForEachAttribute(*link, [&out](const std::string& name, const Value& v) {
+        out << ' ' << name << '=' << v.ToString();
+      });
+      out << '\n';
+    }
+  }
+  return out.str();
+}
+
+/// Random scripts of write sections, guard-less mutations, aborted
+/// transactions, DDL and Clear, with snapshots pinned at random points: a
+/// pinned snapshot must read exactly as it did when pinned, both at the end
+/// and, from a second thread, while the writer runs.
+TEST_P(FuzzSeeds, PinnedSnapshotsStayFrozenUnderRandomScripts) {
+  std::mt19937 rng(GetParam() + 9000);
+  Database db;
+  std::vector<Oid> pool;
+  std::vector<Oid> contexts;
+  auto define = [&] {
+    DefineFuzzSchema(&db);
+    ASSERT_TRUE(db.DefineClass("Ctx").ok());
+    ASSERT_TRUE(
+        db.DefineRelationship("sub_edge", "Node", "Leaf", {}, {}, {"edge"})
+            .ok());
+    RelationshipSemantics undirected;
+    undirected.directed = false;
+    ASSERT_TRUE(
+        db.DefineRelationship("peer", "Node", "Node", undirected).ok());
+    pool.clear();
+    contexts = {db.CreateObject("Ctx").value(), db.CreateObject("Ctx").value()};
+  };
+  auto mutate = [&] {
+    const unsigned n = 1 + rng() % 4;
+    for (unsigned i = 0; i < n; ++i) {
+      if (rng() % 2 == 0) {
+        RandomOp(&db, &rng, &pool);
+      } else {
+        RandomGraphOp(&db, &rng, contexts);
+      }
+    }
+  };
+  define();
+
+  // Pins are owned by this (the writer's) thread; the reader gets shared
+  // copies of the same snapshots with their fingerprints.
+  std::vector<std::pair<SnapshotHandle, std::string>> pins;
+  std::mutex mu;
+  std::vector<std::pair<std::shared_ptr<const DbSnapshot>, std::string>>
+      published;
+  std::atomic<bool> done{false};
+  std::atomic<int> passes{0};
+  std::atomic<int> mismatches{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::vector<std::pair<std::shared_ptr<const DbSnapshot>, std::string>>
+          check;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        check = published;
+      }
+      for (const auto& [snap, fingerprint] : check) {
+        if (Fingerprint(*snap) != fingerprint) mismatches.fetch_add(1);
+      }
+      passes.fetch_add(1, std::memory_order_release);
+      std::this_thread::yield();
+    }
+  });
+  auto pin = [&] {
+    SnapshotHandle snap = db.AcquireSnapshot();
+    std::string fingerprint = Fingerprint(*snap);
+    EXPECT_EQ(fingerprint, Fingerprint(db)) << "pinned cut differs from live";
+    std::lock_guard<std::mutex> lk(mu);
+    published.emplace_back(snap.shared(), fingerprint);
+    pins.emplace_back(std::move(snap), std::move(fingerprint));
+  };
+
+  pin();
+  int extra_classes = 0;
+  for (int step = 0; step < 150; ++step) {
+    switch (rng() % 10) {
+      case 0:
+      case 1:
+      case 2: {
+        Database::WriteGuard guard(db);
+        mutate();
+        break;
+      }
+      case 3:
+        mutate();  // single-threaded mutations, no guard
+        break;
+      case 4: {
+        Database::WriteGuard guard(db);
+        ASSERT_TRUE(db.Begin().ok());
+        mutate();
+        ASSERT_TRUE(db.Abort().ok());
+        break;
+      }
+      case 5: {
+        Database::WriteGuard guard(db);
+        const std::string name = "Extra" + std::to_string(extra_classes++);
+        ASSERT_TRUE(
+            db.DefineClass(name, {"Node"}, {Attr("x", ValueType::kInt)}).ok());
+        ASSERT_TRUE(db.CreateObject(name, {{"x", Value::Int(step)}}).ok());
+        break;
+      }
+      case 6:
+        if (rng() % 4 == 0) {
+          Database::WriteGuard guard(db);
+          ASSERT_TRUE(db.Clear().ok());
+          define();
+        }
+        break;
+      case 7:
+      case 8:
+        pin();
+        break;
+      case 9:
+        if (pins.size() > 8) {  // release one, keeping the rest checked
+          const std::size_t victim = rng() % pins.size();
+          std::lock_guard<std::mutex> lk(mu);
+          published.erase(published.begin() + victim);
+          pins.erase(pins.begin() + victim);
+        }
+        break;
+    }
+  }
+  // Let the reader finish at least one pass over the final pin set.
+  const int seen = passes.load(std::memory_order_acquire);
+  while (passes.load(std::memory_order_acquire) < seen + 2) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  ASSERT_GT(pins.size(), 1u);
+  for (const auto& [snap, fingerprint] : pins) {
+    EXPECT_EQ(Fingerprint(*snap), fingerprint) << "pinned at " << snap->epoch();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,
