@@ -1,7 +1,6 @@
 #include "core/database.h"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_set>
 
 #include "obs/metrics.h"
