@@ -489,9 +489,15 @@ TEST(CatalogStressTest, ReadersRaceWriterAndDdlWithoutTearing) {
 
   std::atomic<bool> done{false};
   std::atomic<int> catalog_reads{0};
+  // The writer starts once every reader is inside its loop, so the reads
+  // overlap the writes however the threads are scheduled.
+  std::atomic<int> readers_ready{0};
 
   std::thread writer([&] {
     Client client(&server);
+    while (readers_ready.load(std::memory_order_acquire) < 3) {
+      std::this_thread::yield();
+    }
     for (int i = 0; i < 300; ++i) {
       ASSERT_TRUE(
           client
@@ -529,6 +535,7 @@ TEST(CatalogStressTest, ReadersRaceWriterAndDdlWithoutTearing) {
           "select q.request_id, q.type, q.detail from sys.requests q",
           "select s.class, s.rows, s.scans from sys.storage s",
       };
+      readers_ready.fetch_add(1, std::memory_order_release);
       while (!done.load(std::memory_order_acquire)) {
         auto r = client.Query(queries[t % 3]);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
