@@ -12,13 +12,12 @@
 // pipeline). Reports median wall time per mode and the on-vs-off overhead
 // percentage; writes BENCH_obs.json.
 //
-// E20 — contention attribution. The same 4-reader/1-writer churn that
+// E20 — reader time lost to churn. The same 4-reader/1-writer churn that
 // produced `scaling_4v1` in BENCH_server.json, measured twice: readers
 // alone (baseline), then readers racing a writer that takes chunky
-// exclusive holds. The wall-clock the readers lose to churn should be
-// explained by the `guard_wait_micros{mode="shared"}` histogram delta over
-// the churn phase — if the attribution ratio is near 1.0, the contention
-// profiler accounts for where the lost microseconds went.
+// exclusive holds. Reports the reader wall-clock the churn costs. Readers
+// pin MVCC snapshots and take no lock, so no wait state names that time
+// yet; attributing it is open work.
 //
 // E22 — system-catalog overhead. A monitoring poller cycling POOL queries
 // over sys.metrics / sys.storage / sys.requests (the dashboards-over-POOL
@@ -41,7 +40,6 @@
 
 #include "bench_util.h"
 #include "obs/metrics.h"
-#include "obs/wait_profiler.h"
 #include "oo7/oo7.h"
 #include "query/query_engine.h"
 #include "server/client.h"
@@ -55,9 +53,7 @@ using prometheus::Status;
 using prometheus::Value;
 using prometheus::bench::JsonWriter;
 using prometheus::bench::MedianMillis;
-using prometheus::obs::GuardInstruments;
 using prometheus::obs::SetMetricsEnabled;
-using prometheus::obs::SnapshotDelta;
 using prometheus::oo7::Config;
 using prometheus::oo7::PrometheusOo7;
 using prometheus::pool::QueryEngine;
@@ -285,9 +281,9 @@ int main(int argc, char** argv) {
   std::printf("  worst metrics-on overhead: %+.2f%% (target <= 5%%)\n",
               worst_overhead);
 
-  // --- E20: guard-wait attribution under 4-reader/1-writer churn --------
+  // --- E20: reader time lost to 4-reader/1-writer churn -----------------
   prometheus::bench::PrintTableHeader(
-      "E20: contention attribution (4 readers, 1 chunky writer)",
+      "E20: reader time lost to churn (4 readers, 1 chunky writer)",
       "  phase        reader_busy(ms)  requests  writer_holds");
   SetMetricsEnabled(true);
   PrometheusOo7 churn_oo7(config);
@@ -295,7 +291,7 @@ int main(int argc, char** argv) {
   Server::Options churn_options;
   churn_options.worker_threads = 8;   // readers+writer never queue-wait
   churn_options.queue_capacity = 4096;
-  churn_options.cache.enabled = false;  // every read takes the shared guard
+  churn_options.cache.enabled = false;  // every read executes
   Server churn_server(&churn_oo7.db(), churn_options);
 
   // Warm-up, then alternating baseline/churn rounds. Pairing each churn
@@ -308,26 +304,17 @@ int main(int argc, char** argv) {
   PhaseResult base{};
   PhaseResult churn{};
   double lost_ms_signed = 0;
-  double attributed_ms = 0;
-  std::uint64_t blocked_acquisitions = 0;
   for (int round = 0; round < kE20Rounds; ++round) {
     const PhaseResult b =
         RunChurnPhase(churn_server, parts, e20_requests, /*with_writer=*/false);
-    // Churn phase, bracketed by shared-wait snapshots: the histogram delta
-    // is the profiler's claim about where the lost reader time went.
-    const auto before = GuardInstruments::Get().shared_wait->snapshot();
     const PhaseResult c =
         RunChurnPhase(churn_server, parts, e20_requests, /*with_writer=*/true);
-    const auto delta =
-        SnapshotDelta(GuardInstruments::Get().shared_wait->snapshot(), before);
     base.reader_busy_ms += b.reader_busy_ms;
     base.reader_requests += b.reader_requests;
     churn.reader_busy_ms += c.reader_busy_ms;
     churn.reader_requests += c.reader_requests;
     churn.writer_mutations += c.writer_mutations;
     lost_ms_signed += c.reader_busy_ms - b.reader_busy_ms;
-    attributed_ms += delta.sum / 1000.0;
-    blocked_acquisitions += delta.count;
   }
   // --- E22: catalog-poller tax on real-query throughput -----------------
   // Reuses the churn server (quiescent again after E20's writer stopped):
@@ -361,27 +348,19 @@ int main(int argc, char** argv) {
   churn_server.Shutdown();
 
   const double lost_ms = std::max(0.0, lost_ms_signed);
-  const double attribution_ratio = lost_ms > 0 ? attributed_ms / lost_ms : 0;
   std::printf("  %-12s %15.3f  %8zu  %12s\n", "baseline", base.reader_busy_ms,
               base.reader_requests, "-");
   std::printf("  %-12s %15.3f  %8zu  %12llu\n", "churn", churn.reader_busy_ms,
               churn.reader_requests,
               static_cast<unsigned long long>(churn.writer_mutations));
-  std::printf(
-      "  lost reader wall-clock: %.3f ms; guard shared-wait delta: %.3f ms "
-      "(%llu shared acquisitions during churn)\n",
-      lost_ms, attributed_ms,
-      static_cast<unsigned long long>(blocked_acquisitions));
-  std::printf("  attribution ratio: %.2f (target within 20%% of 1.0)",
-              attribution_ratio);
+  std::printf("  lost reader wall-clock: %.3f ms", lost_ms);
   const unsigned cores = std::thread::hardware_concurrency();
   if (cores < kE20Readers + 2) {
-    // Blocked readers overlap with each other's execution when timesharing
-    // one core, so client-observed lost time under-counts guard waits —
-    // same host caveat bench_server prints for scaling_4v1.
-    std::printf("  (only %u hardware thread%s — attribution is bounded by "
-                "the host)",
-                cores, cores == 1 ? "" : "s");
+    // With fewer cores than threads, the readers and the writer timeshare,
+    // so the lost time measures the host as much as the churn — same host
+    // caveat bench_server prints for scaling_4v1.
+    std::printf("  (only %u hardware thread%s — bounded by the host)", cores,
+                cores == 1 ? "" : "s");
   }
   std::printf("\n");
 
@@ -407,14 +386,8 @@ int main(int argc, char** argv) {
   json.Key("baseline_reader_busy_ms").Number(base.reader_busy_ms);
   json.Key("churn_reader_busy_ms").Number(churn.reader_busy_ms);
   json.Key("lost_reader_ms").Number(lost_ms);
-  json.Key("guard_shared_wait_ms").Number(attributed_ms);
-  json.Key("blocked_acquisitions").Int(static_cast<int>(blocked_acquisitions));
-  json.Key("attribution_ratio").Number(attribution_ratio);
-  json.Key("target_ratio_band").Number(0.2);
-  // With fewer cores than threads, blocked readers yield the CPU to the
-  // remaining readers, so client-observed lost time collapses toward zero
-  // while guard waits stay real — the ratio is only meaningful when the
-  // reader fleet and the writer can actually run in parallel.
+  // The lost time is only meaningful when the reader fleet and the writer
+  // can actually run in parallel.
   json.Key("host_bounded").Bool(cores < kE20Readers + 2);
   json.EndObject();
   json.Key("e22_catalog").BeginObject();

@@ -396,16 +396,16 @@ int main(int argc, char** argv) {
   // While the server runs, database access flows through it; `with_db`
   // runs a closure under the exclusive lock for the meta commands.
   // `with_db_read` is for read-only closures: on a replica they run under
-  // the database's shared epoch guard (safe alongside the fetch thread's
-  // write guard) instead of the server's mutation path, which a read-only
-  // role would refuse.
+  // the database's write guard, the mutex the follower's applier already
+  // serialises on, instead of the server's mutation path, which a
+  // read-only role would refuse.
   auto with_db = [&](std::function<Status(Database&)> fn) {
     Status st = client->Mutate(std::move(fn));
     if (!st.ok()) std::printf("%s\n", st.ToString().c_str());
   };
   auto with_db_read = [&](std::function<Status(Database&)> fn) {
     if (follower != nullptr) {
-      Database::ReadGuard guard(*db);
+      Database::WriteGuard guard(*db);
       Status st = fn(*db);
       if (!st.ok()) std::printf("%s\n", st.ToString().c_str());
       return;

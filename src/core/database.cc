@@ -130,7 +130,7 @@ Database::~Database() = default;
 Result<const ClassDef*> Database::DefineClass(
     const std::string& name, const std::vector<std::string>& supers,
     std::vector<AttributeDef> attributes, bool is_abstract) {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (name.empty()) {
     return Status::InvalidArgument("class name must not be empty");
   }
@@ -169,10 +169,7 @@ Result<const ClassDef*> Database::DefineClass(
   cls->slots_ = LayoutSlots(cls->supers_, cls->attributes_);
   const ClassDef* raw = cls.get();
   SchemaTables& schema = mvcc::Unshare(schema_);
-  for (const ClassDef* s : super_defs) {
-    const_cast<ClassDef*>(s)->subclasses_.push_back(raw);
-    schema.subclasses[s].push_back(raw);
-  }
+  for (const ClassDef* s : super_defs) schema.subclasses[s].push_back(raw);
   schema.classes_by_name[name] = raw;
   schema.classes.push_back(std::move(cls));
   Event ddl(EventKind::kAfterDefineClass);
@@ -186,7 +183,7 @@ Result<const RelationshipDef*> Database::DefineRelationship(
     const std::string& target_class, RelationshipSemantics semantics,
     std::vector<AttributeDef> link_attributes,
     const std::vector<std::string>& supers) {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (name.empty()) {
     return Status::InvalidArgument("relationship name must not be empty");
   }
@@ -256,10 +253,7 @@ Result<const RelationshipDef*> Database::DefineRelationship(
   rel->slots_ = LayoutSlots(rel->supers_, rel->attributes_);
   const RelationshipDef* raw = rel.get();
   SchemaTables& schema = mvcc::Unshare(schema_);
-  for (const RelationshipDef* s : super_defs) {
-    const_cast<RelationshipDef*>(s)->subs_.push_back(raw);
-    schema.subrels[s].push_back(raw);
-  }
+  for (const RelationshipDef* s : super_defs) schema.subrels[s].push_back(raw);
   schema.rels_by_name[name] = raw;
   schema.relationships.push_back(std::move(rel));
   Event ddl(EventKind::kAfterDefineRelationship);
@@ -270,7 +264,7 @@ Result<const RelationshipDef*> Database::DefineRelationship(
 
 Status Database::DefineMethod(const std::string& class_name,
                               MethodDef method) {
-  BeginMutation();
+  AssertExclusiveAccess();
   const ClassDef* cls = FindClass(class_name);
   if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
@@ -278,18 +272,18 @@ Status Database::DefineMethod(const std::string& class_name,
   if (method.name.empty()) {
     return Status::InvalidArgument("method name must not be empty");
   }
-  if (cls->FindMethod(method.name) != nullptr) {
+  if (FindMethod(cls, method.name) != nullptr) {
     return Status::InvalidArgument("method '" + method.name +
                                    "' already declared");
   }
-  const_cast<ClassDef*>(cls)->methods_.push_back(std::move(method));
+  mvcc::Unshare(schema_).methods[cls].push_back(std::move(method));
   return Status::Ok();
 }
 
 Status Database::DefineRelationshipTemplate(
     const std::string& name, RelationshipSemantics semantics,
     std::vector<AttributeDef> link_attributes) {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (name.empty()) {
     return Status::InvalidArgument("template name must not be empty");
   }
@@ -308,7 +302,7 @@ Status Database::DefineRelationshipTemplate(
 Result<const RelationshipDef*> Database::InstantiateRelationship(
     const std::string& template_name, const std::string& rel_name,
     const std::string& source_class, const std::string& target_class) {
-  BeginMutation();
+  AssertExclusiveAccess();
   auto it = rel_templates_.find(template_name);
   if (it == rel_templates_.end()) {
     return Status::NotFound("unknown relationship template '" +
@@ -416,7 +410,7 @@ void Database::RestoreLinkToExtent(Link* link) {
 
 Result<Oid> Database::CreateObject(const std::string& class_name,
                                    std::vector<AttrInit> inits) {
-  BeginMutation();
+  AssertExclusiveAccess();
   const ClassDef* cls = FindClass(class_name);
   if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
@@ -462,7 +456,7 @@ Result<Oid> Database::CreateObject(const std::string& class_name,
 }
 
 Status Database::DeleteObject(Oid oid) {
-  BeginMutation();
+  AssertExclusiveAccess();
   const Object* obj = GetObject(oid);
   if (obj == nullptr) {
     return Status::NotFound("no object @" + std::to_string(oid));
@@ -526,7 +520,7 @@ Status Database::DeleteObjectInternal(Oid oid, std::vector<Oid>* cascade) {
 }
 
 Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
-  BeginMutation();
+  AssertExclusiveAccess();
   Object* obj = MutableObject(oid);
   if (obj == nullptr) {
     return Status::NotFound("no object @" + std::to_string(oid));
@@ -644,7 +638,7 @@ Status Database::CheckLinkSemantics(const RelationshipDef* def,
 Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
                                  Oid target, Oid context,
                                  std::vector<AttrInit> inits) {
-  BeginMutation();
+  AssertExclusiveAccess();
   const RelationshipDef* def = FindRelationship(rel_name);
   if (def == nullptr) {
     return Status::NotFound("unknown relationship '" + rel_name + "'");
@@ -720,7 +714,7 @@ Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
 }
 
 Status Database::DeleteLink(Oid oid) {
-  BeginMutation();
+  AssertExclusiveAccess();
   const Link* link = GetLink(oid);
   if (link == nullptr) {
     return Status::NotFound("no link @" + std::to_string(oid));
@@ -774,7 +768,7 @@ Status Database::DeleteLinkInternal(Oid oid) {
 
 Status Database::SetLinkAttribute(Oid oid, const std::string& name,
                                   Value value) {
-  BeginMutation();
+  AssertExclusiveAccess();
   Link* link = MutableLink(oid);
   if (link == nullptr) {
     return Status::NotFound("no link @" + std::to_string(oid));
@@ -831,7 +825,7 @@ Status Database::SetLinkAttribute(Oid oid, const std::string& name,
 // ---------------------------------------------------------------- synonyms
 
 Status Database::DeclareSynonym(Oid a, Oid b) {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (GetObject(a) == nullptr || GetObject(b) == nullptr) {
     return Status::NotFound("synonym declaration requires two live objects");
   }
@@ -858,7 +852,7 @@ Status Database::DeclareSynonym(Oid a, Oid b) {
 
 Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
                                   std::vector<AttrInit> attrs) {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (in_transaction_) {
     return Status::FailedPrecondition(
         "raw restore is not valid inside a transaction");
@@ -883,7 +877,7 @@ Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
 Status Database::RestoreLinkRaw(Oid oid, const std::string& rel_name,
                                 Oid source, Oid target, Oid context,
                                 std::vector<AttrInit> attrs) {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (in_transaction_) {
     return Status::FailedPrecondition(
         "raw restore is not valid inside a transaction");
@@ -923,7 +917,7 @@ Status Database::CheckRestorableOid(Oid oid) const {
 }
 
 Status Database::RestoreSynonymRaw(Oid child, Oid parent) {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (child == parent) return Status::Ok();
   mvcc::Unshare(synonym_parent_)[child] = parent;
   return Status::Ok();
@@ -934,7 +928,7 @@ void Database::EnsureNextOidAbove(Oid oid) {
 }
 
 Status Database::Clear() {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (in_transaction_) {
     return Status::FailedPrecondition("cannot clear inside a transaction");
   }
@@ -958,7 +952,7 @@ Status Database::Clear() {
 // ------------------------------------------------------------ transactions
 
 Status Database::Begin() {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (in_transaction_) {
     return Status::FailedPrecondition("nested transactions are unsupported");
   }
@@ -970,7 +964,7 @@ Status Database::Begin() {
 }
 
 Status Database::Commit() {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (!in_transaction_) {
     return Status::FailedPrecondition("no transaction in progress");
   }
@@ -991,7 +985,7 @@ Status Database::Commit() {
 }
 
 Status Database::Abort() {
-  BeginMutation();
+  AssertExclusiveAccess();
   if (!in_transaction_) {
     return Status::FailedPrecondition("no transaction in progress");
   }
@@ -1109,7 +1103,6 @@ void Database::UndoAll() {
 // ------------------------------------------------------ MVCC publication
 
 void Database::PublishSnapshot(std::uint64_t epoch) {
-  snapshot_stale_.store(false, std::memory_order_relaxed);
   // Even a no-op section republishes so the snapshot epoch tracks the
   // database epoch exactly — the result cache's epoch-equality check
   // depends on that.
@@ -1123,13 +1116,15 @@ void Database::PublishSnapshot(std::uint64_t epoch) {
 }
 
 SnapshotHandle Database::AcquireSnapshot() {
-  if (!mvcc_engaged_.load(std::memory_order_acquire) ||
-      snapshot_stale_.load(std::memory_order_acquire)) {
-    // The shared guard excludes writers, so the cut is consistent at the
-    // *current* epoch (no bump happens without a write section).
-    ReadGuard guard(*this);
-    PublishSnapshot(epoch());
-    mvcc_engaged_.store(true, std::memory_order_release);
+  if (!mvcc_engaged_.load(std::memory_order_acquire)) {
+    // Engagement. The write mutex excludes writers, so the cut is
+    // consistent at the current epoch; it is published at that epoch, which
+    // no earlier snapshot carries.
+    std::lock_guard<std::mutex> lock(guard_);
+    if (!mvcc_engaged_.load(std::memory_order_relaxed)) {
+      PublishSnapshot(epoch());
+      mvcc_engaged_.store(true, std::memory_order_release);
+    }
   }
   std::shared_ptr<const DbSnapshot> snap;
   {

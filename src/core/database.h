@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -39,23 +38,25 @@ namespace prometheus {
 /// synonyms and schema tables, all of which the mutators below write
 /// copy-on-write. Reads are the cut's.
 ///
-/// Thread model: a `Database` used from one thread (the embedded mode, and
-/// the thesis' single-user prototype) needs no locking at all, and until
-/// the first `AcquireSnapshot` nothing is shared, so every write is in
-/// place. Concurrent use is MVCC: writers (every mutation, transaction, or
-/// journal-observed change) serialize through the exclusive `WriteGuard`
-/// below, and the end of each write section **publishes an immutable
-/// `DbSnapshot`**, a copy of the cut that costs one pointer per record page
-/// and per class, relationship and context bucket. Readers call
-/// `AcquireSnapshot()` and execute against the pinned snapshot with no lock
-/// held — a reader can never be blocked, starved, or torn by a writer, and
-/// a writer stalled mid-section (e.g. in a journal fsync) degrades write
-/// latency only. After a publish, the writer clones a page, record or
-/// structure at its first write, so a record's address may change there;
-/// it then stays put until the next publish. `ReadGuard` remains for
-/// callers that genuinely need the *live* state quiesced (snapshot
-/// bootstrap, storage checkpointing, tests). Debug builds assert the
-/// protocol on every extent/instance access.
+/// Thread model, one protocol: one writer mutex, and after the first
+/// `AcquireSnapshot` every mutation runs inside a `WriteGuard`.
+///  - Until that first call, the database is the embedded single-user
+///    store of the thesis prototype: one thread, no locking, nothing
+///    shared, every write in place.
+///  - The first `AcquireSnapshot` engages MVCC. From then on writers (every
+///    mutation, transaction or journal-observed change) serialize through
+///    the `WriteGuard` below, and the end of each write section
+///    **publishes an immutable `DbSnapshot`**, a copy of the cut that costs
+///    one pointer per record page and per class, relationship and context
+///    bucket.
+///  - Readers call `AcquireSnapshot()` and execute against the pinned
+///    snapshot with no lock held. A reader can never be blocked, starved or
+///    torn by a writer, and a writer stalled mid-section (e.g. in a journal
+///    fsync) degrades write latency only.
+/// After a publish, the writer clones a page, record or structure at its
+/// first write, so a record's address may change there; it then stays put
+/// until the next publish. Debug builds assert the protocol on every
+/// mutation and on every extent/instance access.
 ///
 /// Version retention is reference-counted, not scheduled: superseded
 /// versions are freed the moment the last snapshot reaching them is
@@ -70,82 +71,17 @@ class Database : public DbCut {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  // -------------------------------------------- concurrency (epoch guard)
+  // ------------------------------------------- concurrency (write guard)
 
-  /// RAII shared (read) lock over the database. Many may be held at once;
-  /// none while a `WriteGuard` is live. While held, every const method is
-  /// safe to call from this thread and the observed state cannot change —
-  /// the epoch seen at acquisition stays the epoch until release.
-  ///
-  /// With metrics enabled, acquisition is timed into
-  /// `guard_wait_micros{mode="shared"}` (a blocked reader also shows in
-  /// the `guard_blocked_readers` gauge while it waits) and the hold into
-  /// `guard_hold_micros{mode="shared"}` — the attribution that tells a
-  /// stalled read fleet from a slow query. Disabled, the only extra cost
-  /// is one relaxed load and branch.
-  class ReadGuard {
-   public:
-    explicit ReadGuard(const Database& db)
-        : db_(db), lock_(db.guard_, std::defer_lock) {
-      if (obs::MetricsEnabled()) {
-        const obs::GuardInstruments& g = obs::GuardInstruments::Get();
-        const auto start = std::chrono::steady_clock::now();
-        // Uncontended fast path: one try_lock, no gauge traffic. Only a
-        // reader that actually blocks appears as blocked.
-        if (!lock_.try_lock()) {
-          g.blocked_readers->Add(1);
-          lock_.lock();
-          g.blocked_readers->Sub(1);
-        }
-        acquired_at_ = std::chrono::steady_clock::now();
-        wait_micros_ = std::chrono::duration<double, std::micro>(
-                           acquired_at_ - start)
-                           .count();
-        g.shared_wait->Observe(wait_micros_);
-        timed_ = true;
-      } else {
-        lock_.lock();
-      }
-      db_.readers_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    ~ReadGuard() {
-      db_.readers_.fetch_sub(1, std::memory_order_acq_rel);
-      if (timed_) {
-        obs::GuardInstruments::Get().shared_hold->Observe(
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - acquired_at_)
-                .count());
-      }
-    }
-
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-
-    /// The guarded database's epoch (stable for the guard's lifetime).
-    std::uint64_t epoch() const { return db_.epoch(); }
-
-    /// Microseconds this guard spent blocked in acquisition (0 with
-    /// metrics disabled). The server copies it into the request's wait
-    /// breakdown.
-    double wait_micros() const { return wait_micros_; }
-
-   private:
-    const Database& db_;
-    std::shared_lock<std::shared_mutex> lock_;
-    std::chrono::steady_clock::time_point acquired_at_{};
-    double wait_micros_ = 0;
-    bool timed_ = false;
-  };
-
-  /// RAII exclusive (write) lock. Completing an exclusive section bumps
-  /// the epoch, so readers can detect whether any writer ran between two
-  /// of their own critical sections.
+  /// RAII write lock: the one writer mutex. Completing a write section
+  /// bumps the epoch and, once MVCC is engaged, publishes the snapshot
+  /// stamped with the new epoch.
   ///
   /// With metrics enabled, acquisition is timed into
   /// `guard_wait_micros{mode="exclusive"}`, the hold into
   /// `guard_hold_micros{mode="exclusive"}` plus the
   /// `guard_writer_last_hold_micros` gauge, and `guard_writer_held` is 1
-  /// for the duration — the writer-hold telemetry that explains reader
+  /// for the duration — the writer-hold telemetry that explains writer
   /// guard waits.
   class WriteGuard {
    public:
@@ -213,15 +149,15 @@ class Database : public DbCut {
 
    private:
     Database& db_;
-    std::unique_lock<std::shared_mutex> lock_;
+    std::unique_lock<std::mutex> lock_;
     std::chrono::steady_clock::time_point acquired_at_{};
     double wait_micros_ = 0;
     bool timed_ = false;
   };
 
-  /// Monotonic count of completed exclusive (write) sections. A reader
-  /// observing the same epoch before and after a computation is guaranteed
-  /// that no guarded mutation interleaved.
+  /// Monotonic count of completed write sections. Every published snapshot
+  /// is stamped with the epoch it was cut at, and no two different cuts
+  /// share an epoch.
   std::uint64_t epoch() const override {
     return epoch_.load(std::memory_order_acquire);
   }
@@ -250,11 +186,10 @@ class Database : public DbCut {
   ///
   /// Never blocks on a writer once engaged — the fast path is one brief
   /// mutex-protected shared_ptr copy plus the pin-registry insert, neither
-  /// held across a write section. The slow path — engagement, or
-  /// mutations made without the `WriteGuard` since the last publish — takes
-  /// the guard shared and publishes the cut as it stands, stamped `epoch()`
-  /// (guard-less mutations do not move the epoch). Must not be called by a
-  /// thread that holds this database's guard.
+  /// held across a write section. The slow path runs once, at engagement:
+  /// it takes the write mutex and publishes the cut as it stands, stamped
+  /// `epoch()` without bumping it. Must not be called by a thread that
+  /// holds this database's `WriteGuard`.
   SnapshotHandle AcquireSnapshot();
 
   /// Number of currently pinned snapshot handles (test/ops visibility;
@@ -268,8 +203,9 @@ class Database : public DbCut {
 
   /// Debug checks of the locking protocol; no-ops in NDEBUG builds.
   /// Shared access is legal unless a *foreign* thread holds the write
-  /// guard; exclusive access is legal when this thread holds the write
-  /// guard or nobody holds the guard at all (single-threaded mode).
+  /// guard. Exclusive access (every mutator's entry check) is legal when
+  /// this thread holds the write guard, or before MVCC is engaged
+  /// (single-threaded embedded mode).
   void AssertSharedAccess() const override {
 #ifndef NDEBUG
     assert(!writer_active_.load(std::memory_order_acquire) ||
@@ -284,8 +220,8 @@ class Database : public DbCut {
                  std::this_thread::get_id() &&
              "mutation while another thread holds the write guard");
     } else {
-      assert(readers_.load(std::memory_order_acquire) == 0 &&
-             "mutation while readers hold the epoch guard shared");
+      assert(!mvcc_engaged_.load(std::memory_order_acquire) &&
+             "mutation outside a WriteGuard after the first AcquireSnapshot");
     }
 #endif
   }
@@ -453,20 +389,8 @@ class Database : public DbCut {
   Object* MutableObject(Oid oid) { return objects_.Mutable(oid); }
   Link* MutableLink(Oid oid) { return links_.Mutable(oid); }
 
-  /// Entry check of every mutator: asserts the writer's side of the
-  /// locking protocol and, once snapshots are published, notes a mutation
-  /// made without the `WriteGuard`, which the next `AcquireSnapshot`
-  /// publishes.
-  void BeginMutation() {
-    AssertExclusiveAccess();
-    if (mvcc_engaged_.load(std::memory_order_relaxed) &&
-        !writer_active_.load(std::memory_order_relaxed)) {
-      snapshot_stale_.store(true, std::memory_order_release);
-    }
-  }
-
   /// Publishes a copy of the cut stamped `epoch` (WriteGuard destructor,
-  /// pre-epoch-bump, with epoch()+1; AcquireSnapshot's slow path with
+  /// pre-epoch-bump, with epoch()+1; AcquireSnapshot's engagement with
   /// epoch()).
   void PublishSnapshot(std::uint64_t epoch);
 
@@ -494,12 +418,10 @@ class Database : public DbCut {
   // Rollback helpers used by Abort().
   void UndoAll();
 
-  // Epoch guard (see ReadGuard/WriteGuard). `guard_` is mutable so const
-  // readers can take the shared side; the counters only exist to let the
-  // debug assertions and `epoch()` observe the guard's state.
-  mutable std::shared_mutex guard_;
+  // The writer mutex (see WriteGuard). The atomics let the debug
+  // assertions, `epoch()` and `pending_epoch()` observe the guard's state.
+  std::mutex guard_;
   std::atomic<std::uint64_t> epoch_{0};
-  mutable std::atomic<int> readers_{0};
   std::atomic<bool> writer_active_{false};
   std::atomic<std::thread::id> writer_thread_{};
 
@@ -511,7 +433,6 @@ class Database : public DbCut {
   // `snap_mu_` (held only for a shared_ptr copy — a stalled writer never
   // holds it, so snapshot acquisition cannot block on a write section).
   std::atomic<bool> mvcc_engaged_{false};
-  std::atomic<bool> snapshot_stale_{false};
   mutable std::mutex snap_mu_;
   std::shared_ptr<const DbSnapshot> current_snapshot_;
 

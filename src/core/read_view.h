@@ -31,7 +31,7 @@ using AttrInit = std::pair<std::string, Value>;
 /// The read-side surface of the database: everything a query, view or
 /// traversal needs, with no mutation entry points. `DbCut` implements it
 /// once for both the live `Database` (reads see the current state; callers
-/// must follow the epoch-guard protocol) and `DbSnapshot` (an immutable
+/// must follow the write-guard protocol) and `DbSnapshot` (an immutable
 /// consistent cut at a fixed epoch; reads need no lock at all). Query
 /// execution is written against this interface so the same engine serves
 /// embedded single-threaded use and MVCC snapshot reads.
@@ -55,6 +55,8 @@ class ReadView {
       std::string_view name) const = 0;
   virtual std::vector<const ClassDef*> classes() const = 0;
   virtual std::vector<const RelationshipDef*> relationships() const = 0;
+  virtual const std::vector<const ClassDef*>& Subclasses(
+      const ClassDef* cls) const = 0;
 
   // --------------------------------------------------------------- objects
   virtual Result<Value> GetAttribute(Oid oid, const std::string& name)

@@ -58,8 +58,11 @@ struct MethodDef {
 /// A class of the ODMG-style schema (thesis 4.2).
 ///
 /// Owns its directly declared attributes; inherited attributes are reached
-/// by walking `supers()`. Instances are created through
-/// `Database::CreateObject` and recorded in the class extent.
+/// by walking `supers()`. Immutable once defined, so every snapshot shares
+/// it: what later DDL adds to a class (sub-classes, method signatures) is
+/// kept in the cut's schema tables and read through the view
+/// (`ReadView::Subclasses`, `DbCut::FindMethod`). Instances are created
+/// through `Database::CreateObject` and recorded in the class extent.
 class ClassDef {
  public:
   /// Constructed by `Database::DefineClass` only.
@@ -77,19 +80,8 @@ class ClassDef {
   /// Direct super-classes (multiple inheritance is allowed, as in ODMG).
   const std::vector<const ClassDef*>& supers() const { return supers_; }
 
-  /// Direct sub-classes, maintained by the schema for extent queries.
-  const std::vector<const ClassDef*>& subclasses() const {
-    return subclasses_;
-  }
-
   /// Attributes declared directly on this class.
   const std::vector<AttributeDef>& attributes() const { return attributes_; }
-
-  /// Method signatures declared directly on this class.
-  const std::vector<MethodDef>& methods() const { return methods_; }
-
-  /// Finds `name` on this class or any super-class; nullptr if absent.
-  const MethodDef* FindMethod(std::string_view name) const;
 
   /// True when this class is `other` or transitively inherits from it.
   bool IsSubclassOf(const ClassDef* other) const;
@@ -114,9 +106,7 @@ class ClassDef {
   std::string name_;
   bool abstract_;
   std::vector<const ClassDef*> supers_;
-  std::vector<const ClassDef*> subclasses_;
   std::vector<AttributeDef> attributes_;
-  std::vector<MethodDef> methods_;
   std::vector<const AttributeDef*> slots_;
 };
 
@@ -185,6 +175,8 @@ struct RelationshipSemantics {
 ///
 /// Relationship classes may themselves inherit (figure 11); a link of a
 /// sub-relationship is traversed by queries naming the super-relationship.
+/// Immutable once defined, like `ClassDef`; the sub-relationship adjacency
+/// lives in the cut's schema tables.
 class RelationshipDef {
  public:
   /// Constructed by `Database::DefineRelationship` only.
@@ -216,11 +208,6 @@ class RelationshipDef {
     return supers_;
   }
 
-  /// Direct sub-relationship classes.
-  const std::vector<const RelationshipDef*>& subrelationships() const {
-    return subs_;
-  }
-
   /// True when this relationship class is `other` or inherits from it.
   bool IsSubrelationshipOf(const RelationshipDef* other) const;
 
@@ -247,7 +234,6 @@ class RelationshipDef {
   RelationshipSemantics semantics_;
   std::vector<AttributeDef> attributes_;
   std::vector<const RelationshipDef*> supers_;
-  std::vector<const RelationshipDef*> subs_;
   std::vector<const AttributeDef*> slots_;
 };
 

@@ -104,6 +104,30 @@ std::vector<const RelationshipDef*> DbCut::relationships() const {
   return out;
 }
 
+const std::vector<const ClassDef*>& DbCut::Subclasses(
+    const ClassDef* cls) const {
+  static const std::vector<const ClassDef*> kNone;
+  auto it = schema_->subclasses.find(cls);
+  return it == schema_->subclasses.end() ? kNone : it->second;
+}
+
+const std::vector<MethodDef>& DbCut::Methods(const ClassDef* cls) const {
+  static const std::vector<MethodDef> kNone;
+  auto it = schema_->methods.find(cls);
+  return it == schema_->methods.end() ? kNone : it->second;
+}
+
+const MethodDef* DbCut::FindMethod(const ClassDef* cls,
+                                   std::string_view name) const {
+  for (const MethodDef& m : Methods(cls)) {
+    if (m.name == name) return &m;
+  }
+  for (const ClassDef* s : cls->supers()) {
+    if (const MethodDef* m = FindMethod(s, name)) return m;
+  }
+  return nullptr;
+}
+
 // ----------------------------------------------------------------- objects
 
 /// Attribute read with the inherited-attribute fallback over incoming links

@@ -22,12 +22,11 @@ namespace prometheus {
 class Database;
 
 /// Schema tables of one cut: the definitions in definition order, the
-/// name→definition maps and a *copied* children adjacency
-/// (`subclasses`/`subrels`). The copies matter: the `ClassDef::subclasses_`
-/// / `RelationshipDef::subs_` vectors are appended to by later DDL, so a
-/// snapshot's extent walk must not read them. Everything else on a
-/// definition (name, supers, attributes, semantics, endpoints) is frozen
-/// once defined and safely shared.
+/// name→definition maps, the children adjacency (`subclasses`/`subrels`)
+/// and the method signatures declared on each class. Definitions are
+/// frozen once defined and shared by every cut; everything later DDL adds
+/// to an existing definition lives here, so it is copied with the tables
+/// and a published snapshot never sees it change.
 ///
 /// The definitions are owned here, so record versions retained by old
 /// snapshots keep valid `cls`/`def` pointers even across
@@ -42,6 +41,7 @@ struct SchemaTables {
   std::unordered_map<const RelationshipDef*,
                      std::vector<const RelationshipDef*>>
       subrels;
+  std::unordered_map<const ClassDef*, std::vector<MethodDef>> methods;
 };
 
 /// The whole state of the database as one copy-on-write cut: the record
@@ -75,6 +75,17 @@ class DbCut : public ReadView {
 
   /// All defined relationship classes, in definition order.
   std::vector<const RelationshipDef*> relationships() const override;
+
+  /// Direct sub-classes of `cls`, in definition order.
+  const std::vector<const ClassDef*>& Subclasses(
+      const ClassDef* cls) const override;
+
+  /// Method signatures declared directly on `cls`.
+  const std::vector<MethodDef>& Methods(const ClassDef* cls) const;
+
+  /// Finds method `name` on `cls` or any super-class; nullptr if absent.
+  const MethodDef* FindMethod(const ClassDef* cls,
+                              std::string_view name) const;
 
   // --------------------------------------------------------------- objects
 

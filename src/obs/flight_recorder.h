@@ -48,7 +48,7 @@ class FlightRecorder {
     double total_micros = 0;       ///< time on the worker (0 if never ran)
     /// Wait-state attribution (zeros when timing was off or not a
     /// guarded/journaled request).
-    double guard_wait_micros = 0;    ///< epoch-guard acquisition
+    double guard_wait_micros = 0;    ///< write-guard acquisition
     double execute_micros = 0;       ///< pure execution (waits subtracted)
     double journal_micros = 0;       ///< journal appends + fsyncs
     std::string detail;  ///< query text (truncated) or mutation kind

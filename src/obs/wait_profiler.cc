@@ -11,8 +11,6 @@ const char* WaitStateName(WaitState state) {
       return "admission";
     case WaitState::kQueue:
       return "queue";
-    case WaitState::kGuardShared:
-      return "guard_shared";
     case WaitState::kGuardExclusive:
       return "guard_exclusive";
     case WaitState::kExecute:
@@ -30,27 +28,18 @@ const char* WaitStateName(WaitState state) {
 const GuardInstruments& GuardInstruments::Get() {
   static const GuardInstruments g = [] {
     MetricsRegistry& reg = Registry();
-    const char* wait_help =
-        "Epoch-guard acquisition wait (microseconds) by lock mode";
-    const char* hold_help =
-        "Epoch-guard hold duration (microseconds) by lock mode";
     GuardInstruments gi;
-    gi.shared_wait =
-        reg.GetHistogram("guard_wait_micros{mode=\"shared\"}", wait_help);
     gi.exclusive_wait =
-        reg.GetHistogram("guard_wait_micros{mode=\"exclusive\"}", wait_help);
-    gi.shared_hold =
-        reg.GetHistogram("guard_hold_micros{mode=\"shared\"}", hold_help);
+        reg.GetHistogram("guard_wait_micros{mode=\"exclusive\"}",
+                         "Write-guard acquisition wait (microseconds)");
     gi.exclusive_hold =
-        reg.GetHistogram("guard_hold_micros{mode=\"exclusive\"}", hold_help);
-    gi.blocked_readers = reg.GetGauge(
-        "guard_blocked_readers",
-        "Readers currently blocked acquiring the epoch guard shared");
+        reg.GetHistogram("guard_hold_micros{mode=\"exclusive\"}",
+                         "Write-guard hold duration (microseconds)");
     gi.blocked_writers = reg.GetGauge(
         "guard_blocked_writers",
-        "Writers currently blocked acquiring the epoch guard exclusive");
+        "Writers currently blocked acquiring the write guard");
     gi.writer_held = reg.GetGauge(
-        "guard_writer_held", "1 while a writer holds the epoch guard");
+        "guard_writer_held", "1 while a writer holds the write guard");
     gi.writer_last_hold_micros = reg.GetGauge(
         "guard_writer_last_hold_micros",
         "Duration of the most recent completed exclusive hold");
@@ -111,7 +100,7 @@ struct StateSource {
   Histogram* hist;
 };
 
-std::array<StateSource, 8> ReportSources() {
+std::array<StateSource, 7> ReportSources() {
   const WaitInstruments& w = WaitInstruments::Get();
   const GuardInstruments& g = GuardInstruments::Get();
   MetricsRegistry& reg = Registry();
@@ -121,7 +110,6 @@ std::array<StateSource, 8> ReportSources() {
                                      "Latency of journal fsync barriers");
   return {{{WaitState::kAdmission, w.admission},
            {WaitState::kQueue, w.queue},
-           {WaitState::kGuardShared, g.shared_wait},
            {WaitState::kGuardExclusive, g.exclusive_wait},
            {WaitState::kExecute, w.execute},
            {WaitState::kJournalAppend, append},
@@ -133,7 +121,7 @@ std::array<StateSource, 8> ReportSources() {
 /// the registry itself; the mutex only guards windowed report assembly.
 struct WindowStore {
   std::mutex mu;
-  std::array<Histogram::Snapshot, 8> last;
+  std::array<Histogram::Snapshot, 7> last;
 
   static WindowStore& Get() {
     static WindowStore s;
@@ -143,9 +131,9 @@ struct WindowStore {
 
 /// Cumulative or since-last-windowed-call snapshots, in ReportSources
 /// order. Windowed reads advance the shared window store.
-std::array<Histogram::Snapshot, 8> CollectSnapshots(
-    const std::array<StateSource, 8>& sources, bool windowed) {
-  std::array<Histogram::Snapshot, 8> out;
+std::array<Histogram::Snapshot, 7> CollectSnapshots(
+    const std::array<StateSource, 7>& sources, bool windowed) {
+  std::array<Histogram::Snapshot, 7> out;
   if (windowed) {
     WindowStore& store = WindowStore::Get();
     std::lock_guard<std::mutex> lock(store.mu);
@@ -165,8 +153,8 @@ std::array<Histogram::Snapshot, 8> CollectSnapshots(
 }  // namespace
 
 std::vector<ContentionStat> SnapshotContention(bool windowed) {
-  const std::array<StateSource, 8> sources = ReportSources();
-  const std::array<Histogram::Snapshot, 8> snaps =
+  const std::array<StateSource, 7> sources = ReportSources();
+  const std::array<Histogram::Snapshot, 7> snaps =
       CollectSnapshots(sources, windowed);
   std::vector<ContentionStat> out;
   out.reserve(sources.size());

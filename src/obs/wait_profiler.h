@@ -14,7 +14,7 @@ namespace prometheus::obs {
 //
 // The contention-observability layer: every request's lifetime decomposes
 // into named wait states, each exported as its own histogram family. The
-// server observes admission/queue/execute/serialize; the epoch guard in
+// server observes admission/queue/execute/serialize; the write guard in
 // core/database.h observes guard acquisition and hold times; the journal
 // observes append and fsync latency. `sys.contention` serves the assembled
 // report and `sys.contention_window` its windowed form (deltas since the
@@ -28,8 +28,7 @@ namespace prometheus::obs {
 enum class WaitState : std::uint8_t {
   kAdmission,       ///< Enqueue-side work before the queue (incl. cache probe)
   kQueue,           ///< admission -> worker pickup
-  kGuardShared,     ///< ReadGuard acquisition (blocked behind a writer)
-  kGuardExclusive,  ///< WriteGuard acquisition (blocked behind readers/writer)
+  kGuardExclusive,  ///< WriteGuard acquisition (blocked behind a writer)
   kExecute,         ///< pure execution (guard + journal time subtracted)
   kJournalAppend,   ///< file append of framed journal records
   kJournalSync,     ///< explicit fsync barriers
@@ -38,15 +37,12 @@ enum class WaitState : std::uint8_t {
 
 const char* WaitStateName(WaitState state);
 
-/// Guard instrumentation points the epoch guard calls into. One relaxed
+/// Guard instrumentation points the write guard calls into. One relaxed
 /// branch when metrics are disabled (callers check `MetricsEnabled()`
 /// before reading the clock); pointer loads are cached in a static.
 struct GuardInstruments {
-  Histogram* shared_wait;      ///< guard_wait_micros{mode="shared"}
   Histogram* exclusive_wait;   ///< guard_wait_micros{mode="exclusive"}
-  Histogram* shared_hold;      ///< guard_hold_micros{mode="shared"}
   Histogram* exclusive_hold;   ///< guard_hold_micros{mode="exclusive"}
-  Gauge* blocked_readers;      ///< readers currently blocked in lock_shared
   Gauge* blocked_writers;      ///< writers currently blocked in lock
   Gauge* writer_held;          ///< 1 while a writer holds the guard
   Gauge* writer_last_hold_micros;  ///< duration of the last exclusive hold

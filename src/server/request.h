@@ -147,7 +147,7 @@ struct Request {
 /// attributable at a glance.
 struct WaitBreakdown {
   double queue_micros = 0;        ///< admission -> worker pickup
-  double guard_wait_micros = 0;   ///< epoch-guard acquisition (either mode)
+  double guard_wait_micros = 0;   ///< write-guard acquisition (mutations)
   double execute_micros = 0;      ///< execution with named waits subtracted
   double journal_append_micros = 0;  ///< journal file appends
   double journal_sync_micros = 0;    ///< journal fsync barriers
@@ -187,7 +187,7 @@ struct Response {
   /// kQuery only: true when the server's result cache was consulted for
   /// this request (the HTTP plane then reports `X-Cache`), and whether it
   /// hit. A hit resolved on the submitting thread — no queue, no worker,
-  /// no epoch guard — with `epoch` carrying the entry's still-current
+  /// no snapshot pin — with `epoch` carrying the entry's still-current
   /// materialization epoch.
   bool cache_checked = false;
   bool cache_hit = false;

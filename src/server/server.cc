@@ -287,7 +287,7 @@ Server::Server(Database* db, Options options)
     return Status::Ok();
   });
   // Engage MVCC publication now, while construction is still
-  // single-threaded: the first AcquireSnapshot takes the guard shared to
+  // single-threaded: the first AcquireSnapshot takes the write mutex to
   // publish the first copy of the cut, so doing it here keeps any request
   // from waiting behind a writer for engagement.
   (void)db_->AcquireSnapshot();
@@ -557,7 +557,7 @@ void Server::RegisterSystemCatalog() {
         for (const ClassDef* cls : view.classes()) {
           std::vector<std::string> supers, subs, attrs;
           for (const ClassDef* s : cls->supers()) supers.push_back(s->name());
-          for (const ClassDef* s : cls->subclasses()) {
+          for (const ClassDef* s : view.Subclasses(cls)) {
             subs.push_back(s->name());
           }
           for (const AttributeDef& a : cls->attributes()) {
@@ -732,7 +732,7 @@ std::future<Response> Server::Enqueue(Request req) {
   }
 
   // Result-cache fast path: a hit resolves right here on the submitting
-  // thread — no queue, no worker, no epoch guard. Placed after the
+  // thread — no queue, no worker, no snapshot pin. Placed after the
   // deadline check (an expired request stays expired) and before the
   // read-only / degraded refusals, which only concern mutations: cached
   // reads keep serving on a follower and in degraded mode.
@@ -1104,7 +1104,6 @@ Response Server::ExecuteQuery(RequestId id, const Request& req,
   // stalled mid-commit (e.g. in journal_sync) cannot delay it.
   SnapshotHandle snap = db_->AcquireSnapshot();
   resp.epoch = snap->epoch();
-  resp.waits.guard_wait_micros = 0;  // readers take no guard under MVCC
   // The Enqueue-side lookup already missed (or the cache is off). Catalog
   // queries are never cached at all — their rows track live internals, so
   // both the lookup (TryServeFromCache) and the inserts below skip them.
@@ -1144,7 +1143,6 @@ Response Server::ExecuteQuery(RequestId id, const Request& req,
       slow.micros = profile.trace.micros;
       slow.profile = resp.text;
       slow.queue_micros = queue_wait_micros;
-      slow.guard_wait_micros = 0;
       slow.execute_micros = profile.trace.micros;
       slow_log_.Record(std::move(slow));
     }
@@ -1205,7 +1203,6 @@ Response Server::ExecuteQuery(RequestId id, const Request& req,
       slow.profile =
           plan.ok() ? std::move(plan).value() : plan.status().ToString();
       slow.queue_micros = queue_wait_micros;
-      slow.guard_wait_micros = 0;
       slow.execute_micros = micros;
       slow_log_.Record(std::move(slow));
     }

@@ -103,7 +103,7 @@ class Server {
     std::function<std::vector<Value>()> replication_rows;
     /// Query-cache configuration (plan + result tiers), on by default.
     /// Result-cache hits resolve at Enqueue on the submitting thread —
-    /// they skip the queue, the workers and the epoch guard entirely, and
+    /// they skip the queue, the workers and the snapshot pin entirely, and
     /// stay correct through lock-free epoch validation (any committed
     /// write invalidates). Hits keep serving in degraded read-only mode
     /// and on a read-only follower. Set `cache.enabled = false` for an
@@ -113,7 +113,7 @@ class Server {
 
   /// `db` must outlive the server. While the server runs, all access to
   /// `db` must flow through sessions — direct reads or writes from other
-  /// threads race the workers (the epoch guard's debug assertions catch
+  /// threads race the workers (the write guard's debug assertions catch
   /// exactly this). Single-threaded setup before construction and after
   /// `Shutdown` needs no locking.
   Server(Database* db, Options options);

@@ -42,7 +42,7 @@ bool ParseJournalFileName(const std::string& name, std::uint64_t* seq);
 ///    the protocol leaves the previous snapshot/journal pair authoritative.
 ///
 /// Thread model: one store per directory. The journal *append path* is
-/// thread-safe — mutations serialised by the database's epoch guard
+/// thread-safe — mutations serialised by the database's write guard
 /// (`Database::WriteGuard`) append safely while any thread calls `Flush`,
 /// `Sync` or `status()` (the journal locks internally, so frames are never
 /// torn). `Checkpoint` still requires exclusive access to the *database*

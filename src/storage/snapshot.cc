@@ -500,8 +500,9 @@ std::string ClassRecord(const Database& db, const std::string& name) {
     << cls->supers().size();
   for (const ClassDef* s : cls->supers()) w << ' ' << Str{s->name()};
   WriteAttributeDefs(w, cls->attributes());
-  w << ' ' << cls->methods().size();
-  for (const MethodDef& m : cls->methods()) {
+  const std::vector<MethodDef>& methods = db.Methods(cls);
+  w << ' ' << methods.size();
+  for (const MethodDef& m : methods) {
     w << ' ' << Str{m.name} << ' ' << Str{m.return_type} << ' '
       << m.parameters.size();
     for (const auto& [type, pname] : m.parameters) {

@@ -1,4 +1,4 @@
-// The contention-observability layer (src/obs/wait_profiler.*): epoch-guard
+// The contention-observability layer (src/obs/wait_profiler.*): write-guard
 // wait/hold instrumentation, the per-request wait breakdown, per-request
 // journal attribution, windowed contention reports, and trace-context
 // propagation through the server core.
@@ -74,48 +74,6 @@ std::unique_ptr<Database> MakePartsDb(int rows = 8) {
 
 // --------------------------------------------------- guard instrumentation
 
-TEST(GuardInstrumentationTest, BlockedReaderObservesSharedWait) {
-  Registry().ResetForTest();
-  Database db;
-  const GuardInstruments& g = GuardInstruments::Get();
-
-  std::atomic<bool> held{false};
-  std::atomic<bool> release{false};
-  std::thread writer([&] {
-    Database::WriteGuard guard(db);
-    held.store(true);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  while (!held.load()) std::this_thread::yield();
-
-  // While the writer holds the guard, a reader must show up blocked.
-  std::thread reader([&] { Database::ReadGuard guard(db); });
-  // Wait until the blocked-readers gauge registers it (bounded).
-  bool saw_blocked = false;
-  for (int i = 0; i < 2000 && !saw_blocked; ++i) {
-    saw_blocked = g.blocked_readers->value() > 0;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  EXPECT_TRUE(saw_blocked);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  release.store(true);
-  writer.join();
-  reader.join();
-
-  // The reader's wait and both holds were observed; the gauges returned
-  // to idle.
-  EXPECT_GE(g.shared_wait->snapshot().count, 1u);
-  EXPECT_GT(g.shared_wait->snapshot().sum, 0.0);
-  EXPECT_GE(g.shared_hold->snapshot().count, 1u);
-  EXPECT_GE(g.exclusive_hold->snapshot().count, 1u);
-  EXPECT_GT(g.writer_last_hold_micros->value(), 0);
-  EXPECT_EQ(g.blocked_readers->value(), 0);
-  EXPECT_EQ(g.blocked_writers->value(), 0);
-  EXPECT_EQ(g.writer_held->value(), 0);
-}
-
 TEST(GuardInstrumentationTest, BlockedWriterObservesExclusiveWait) {
   Registry().ResetForTest();
   Database db;
@@ -123,8 +81,8 @@ TEST(GuardInstrumentationTest, BlockedWriterObservesExclusiveWait) {
 
   std::atomic<bool> held{false};
   std::atomic<bool> release{false};
-  std::thread reader([&] {
-    Database::ReadGuard guard(db);
+  std::thread holder([&] {
+    Database::WriteGuard guard(db);
     held.store(true);
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -132,20 +90,31 @@ TEST(GuardInstrumentationTest, BlockedWriterObservesExclusiveWait) {
   });
   while (!held.load()) std::this_thread::yield();
 
-  std::thread writer([&] { Database::WriteGuard guard(db); });
+  // While one writer holds the guard, a second must show up blocked. It
+  // releases last, so its own hold is the one the last-hold gauge keeps.
+  std::thread writer([&] {
+    Database::WriteGuard guard(db);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
   bool saw_blocked = false;
   for (int i = 0; i < 2000 && !saw_blocked; ++i) {
     saw_blocked = g.blocked_writers->value() > 0;
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   EXPECT_TRUE(saw_blocked);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
   release.store(true);
-  reader.join();
+  holder.join();
   writer.join();
 
-  EXPECT_GE(g.exclusive_wait->snapshot().count, 1u);
+  // The blocked writer's wait and both holds were observed; the gauges
+  // returned to idle.
+  EXPECT_GE(g.exclusive_wait->snapshot().count, 2u);
   EXPECT_GT(g.exclusive_wait->snapshot().sum, 0.0);
+  EXPECT_GE(g.exclusive_hold->snapshot().count, 2u);
+  EXPECT_GT(g.writer_last_hold_micros->value(), 0);
   EXPECT_EQ(g.blocked_writers->value(), 0);
+  EXPECT_EQ(g.writer_held->value(), 0);
 }
 
 TEST(GuardInstrumentationTest, UncontendedGuardsSkipBlockedGauges) {
@@ -153,18 +122,14 @@ TEST(GuardInstrumentationTest, UncontendedGuardsSkipBlockedGauges) {
   Database db;
   const GuardInstruments& g = GuardInstruments::Get();
   {
-    Database::ReadGuard guard(db);
-    EXPECT_EQ(g.blocked_readers->value(), 0);
-  }
-  {
     Database::WriteGuard guard(db);
     EXPECT_EQ(g.blocked_writers->value(), 0);
     EXPECT_EQ(g.writer_held->value(), 1);
   }
   EXPECT_EQ(g.writer_held->value(), 0);
   // Uncontended acquisitions still observe (zero-ish) waits and holds.
-  EXPECT_GE(g.shared_wait->snapshot().count, 1u);
   EXPECT_GE(g.exclusive_wait->snapshot().count, 1u);
+  EXPECT_GE(g.exclusive_hold->snapshot().count, 1u);
 }
 
 // ------------------------------------------------------- snapshot algebra
@@ -228,10 +193,9 @@ TEST(ContentionReportTest, ReportListsEveryWaitStateInOrder) {
   for (const ContentionStat& s : stats) states.push_back(s.state);
   std::vector<std::string> want;
   for (WaitState s :
-       {WaitState::kAdmission, WaitState::kQueue, WaitState::kGuardShared,
-        WaitState::kGuardExclusive, WaitState::kExecute,
-        WaitState::kJournalAppend, WaitState::kJournalSync,
-        WaitState::kSerialize}) {
+       {WaitState::kAdmission, WaitState::kQueue, WaitState::kGuardExclusive,
+        WaitState::kExecute, WaitState::kJournalAppend,
+        WaitState::kJournalSync, WaitState::kSerialize}) {
     want.push_back(WaitStateName(s));
   }
   EXPECT_EQ(states, want);
@@ -279,9 +243,9 @@ TEST(ContentionReportTest, CatalogServesBothViewsAndTheGuardGauges) {
   Response cumulative = server.QueryCatalog(
       "select c.windowed, c.state from sys.contention c");
   ASSERT_TRUE(cumulative.ok());
-  ASSERT_EQ(cumulative.result.rows.size(), 8u);
+  ASSERT_EQ(cumulative.result.rows.size(), 7u);
   EXPECT_FALSE(cumulative.result.rows[0][0].AsBool());
-  EXPECT_EQ(cumulative.result.rows[2][1].AsString(), "guard_shared");
+  EXPECT_EQ(cumulative.result.rows[2][1].AsString(), "guard_exclusive");
 
   // The guard gauges are sys.metrics rows.
   (void)GuardInstruments::Get();
@@ -294,7 +258,7 @@ TEST(ContentionReportTest, CatalogServesBothViewsAndTheGuardGauges) {
     names.push_back(row[0].AsString());
   }
   for (const char* gauge :
-       {"guard_blocked_readers", "guard_blocked_writers", "guard_writer_held",
+       {"guard_blocked_writers", "guard_writer_held",
         "guard_writer_last_hold_micros",
         "guard_writer_longest_wait_micros"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), gauge), names.end())

@@ -65,8 +65,8 @@ TEST(SchemaTest, InheritanceAndAttributeLookup) {
   EXPECT_NE(derived->FindAttribute("name"), nullptr);
   EXPECT_NE(derived->FindAttribute("extra"), nullptr);
   EXPECT_EQ(base->FindAttribute("extra"), nullptr);
-  ASSERT_EQ(base->subclasses().size(), 1u);
-  EXPECT_EQ(base->subclasses()[0], derived);
+  ASSERT_EQ(db.Subclasses(base).size(), 1u);
+  EXPECT_EQ(db.Subclasses(base)[0], derived);
 }
 
 TEST(SchemaTest, AttributeCollisionWithSuperRejected) {
@@ -178,7 +178,7 @@ TEST(SchemaTest, MethodSignatures) {
   method.return_type = "int";
   method.parameters = {{"int", "reference_year"}};
   ASSERT_TRUE(db.DefineMethod("Base", method).ok());
-  const MethodDef* found = db.FindClass("Derived")->FindMethod("age");
+  const MethodDef* found = db.FindMethod(db.FindClass("Derived"), "age");
   ASSERT_NE(found, nullptr);  // inherited
   EXPECT_EQ(found->return_type, "int");
   ASSERT_EQ(found->parameters.size(), 1u);
@@ -188,7 +188,7 @@ TEST(SchemaTest, MethodSignatures) {
             Status::Code::kInvalidArgument);
   EXPECT_EQ(db.DefineMethod("Nope", method).code(),
             Status::Code::kNotFound);
-  EXPECT_EQ(db.FindClass("Base")->FindMethod("nothing"), nullptr);
+  EXPECT_EQ(db.FindMethod(db.FindClass("Base"), "nothing"), nullptr);
 }
 
 TEST(SchemaTest, RelationshipTemplates) {

@@ -42,8 +42,10 @@
 namespace {
 
 using prometheus::AttributeDef;
+using prometheus::ClassDef;
 using prometheus::Database;
 using prometheus::DbSnapshot;
+using prometheus::MethodDef;
 using prometheus::Oid;
 using prometheus::OidTable;
 using prometheus::SnapshotHandle;
@@ -313,12 +315,16 @@ TEST_F(MvccSnapshotTest, AbortedTransactionNeverVisibleInAnySnapshot) {
   EXPECT_EQ(snap->object_count(), db_.object_count());
 }
 
-TEST_F(MvccSnapshotTest, GuardlessMutationsAfterEngagementReachNextAcquire) {
-  SnapshotHandle pinned = db_.AcquireSnapshot();  // engages publication
-  const std::uint64_t epoch = db_.epoch();
+// The one protocol: before the first AcquireSnapshot the database is the
+// single-threaded embedded store and needs no guard; after it, every
+// mutation runs inside a WriteGuard, and one outside trips the debug
+// assertion (Release builds compile the check out).
+using MvccSnapshotDeathTest = MvccSnapshotTest;
 
-  // Single-threaded use needs no guard, engaged or not: update, create,
-  // link, synonym and delete with no WriteGuard held.
+TEST_F(MvccSnapshotDeathTest, MutationOutsideWriteGuardAfterEngagementAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Guard-less mutations before engagement: update, create, link, synonym
+  // and delete.
   ASSERT_TRUE(db_.SetAttribute(recs_[0], "a", Value::Int(100)).ok());
   auto fresh = db_.CreateObject("Rec", {{"name", Value::String("late")},
                                         {"a", Value::Int(9)},
@@ -327,39 +333,32 @@ TEST_F(MvccSnapshotTest, GuardlessMutationsAfterEngagementReachNextAcquire) {
   ASSERT_TRUE(db_.CreateLink("refs", recs_[2], fresh.value()).ok());
   ASSERT_TRUE(db_.DeclareSynonym(recs_[1], recs_[2]).ok());
   ASSERT_TRUE(db_.DeleteObject(recs_[3]).ok());
+  EXPECT_EQ(db_.epoch(), 0u);
 
-  // They complete no write section, so the epoch does not move.
-  EXPECT_EQ(db_.epoch(), epoch);
-
-  // The next acquire sees every one of them, at the same epoch.
-  SnapshotHandle now = db_.AcquireSnapshot();
-  EXPECT_EQ(now->epoch(), epoch);
-  EXPECT_EQ(now->GetAttribute(recs_[0], "a").value().AsInt(), 100);
-  EXPECT_NE(now->GetObject(fresh.value()), nullptr);
-  EXPECT_EQ(now->GetObject(recs_[3]), nullptr);
-  EXPECT_EQ(now->Extent("Rec"), db_.Extent("Rec"));
-  EXPECT_EQ(now->Neighbors(recs_[2], "refs"),
+  // Engagement publishes all of them, at the current epoch.
+  SnapshotHandle pinned = db_.AcquireSnapshot();
+  EXPECT_EQ(pinned->epoch(), 0u);
+  EXPECT_EQ(pinned->GetAttribute(recs_[0], "a").value().AsInt(), 100);
+  EXPECT_NE(pinned->GetObject(fresh.value()), nullptr);
+  EXPECT_EQ(pinned->GetObject(recs_[3]), nullptr);
+  EXPECT_EQ(pinned->Neighbors(recs_[2], "refs"),
             std::vector<Oid>{fresh.value()});
-  EXPECT_TRUE(now->AreSynonyms(recs_[1], recs_[2]));
-  EXPECT_EQ(now->object_count(), db_.object_count());
-  EXPECT_EQ(now->link_count(), db_.link_count());
+  EXPECT_TRUE(pinned->AreSynonyms(recs_[1], recs_[2]));
 
-  // The snapshot pinned before them does not.
-  EXPECT_EQ(pinned->epoch(), epoch);
-  EXPECT_EQ(pinned->GetAttribute(recs_[0], "a").value().AsInt(), 0);
-  EXPECT_EQ(pinned->GetObject(fresh.value()), nullptr);
-  EXPECT_NE(pinned->GetObject(recs_[3]), nullptr);
-  EXPECT_EQ(pinned->Extent("Rec"), recs_);
-  EXPECT_TRUE(pinned->Neighbors(recs_[2], "refs").empty());
-  EXPECT_FALSE(pinned->AreSynonyms(recs_[1], recs_[2]));
+  EXPECT_DEBUG_DEATH(
+      (void)db_.SetAttribute(recs_[0], "a", Value::Int(200)),
+      "outside a WriteGuard");
 
-  // A guard-less mutation after that acquire is again invisible to it and
-  // reaches the one after.
-  ASSERT_TRUE(db_.SetAttribute(recs_[0], "a", Value::Int(200)).ok());
-  EXPECT_EQ(now->GetAttribute(recs_[0], "a").value().AsInt(), 100);
-  EXPECT_EQ(db_.AcquireSnapshot()->GetAttribute(recs_[0], "a").value().AsInt(),
-            200);
-  EXPECT_EQ(db_.epoch(), epoch);
+  // The same mutation inside a write section is legal and published under
+  // the next epoch; the pinned cut keeps its value.
+  {
+    Database::WriteGuard guard(db_);
+    ASSERT_TRUE(db_.SetAttribute(recs_[0], "a", Value::Int(300)).ok());
+  }
+  SnapshotHandle now = db_.AcquireSnapshot();
+  EXPECT_EQ(now->epoch(), 1u);
+  EXPECT_EQ(now->GetAttribute(recs_[0], "a").value().AsInt(), 300);
+  EXPECT_EQ(pinned->GetAttribute(recs_[0], "a").value().AsInt(), 100);
 }
 
 // --------------------------------------------------------------------- GC
@@ -405,6 +404,74 @@ TEST(MvccGcTest, SupersededVersionsFreeWhenLastPinReleases) {
   new_pin = SnapshotHandle();
   EXPECT_EQ(db.pinned_snapshots(), 0u);
   EXPECT_EQ(db.oldest_pinned_epoch(), db.epoch());
+}
+
+// ------------------------------------------------------------ DDL race
+
+// Definitions are shared by every published snapshot, so DDL must never
+// write one. A reader walks a pinned snapshot's schema — sys.classes, the
+// subclass list, method lookup — while write sections define sub-classes
+// of the same class and methods on it. Under TSan any write to a shared
+// definition is a reported race; in every build the pinned lists must
+// match the pinned class count.
+TEST(MvccSchemaTest, PinnedSchemaReadsNeverRaceDdl) {
+  Database db;
+  ASSERT_TRUE(db.DefineClass("Root").ok());
+  MethodDef size;
+  size.name = "size";
+  size.return_type = "int";
+  ASSERT_TRUE(db.DefineMethod("Root", size).ok());
+  Server server(&db);  // engages MVCC
+  Client client(&server);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> passes{0};
+  std::atomic<int> mismatches{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      SnapshotHandle snap = db.AcquireSnapshot();
+      const std::vector<const ClassDef*> classes = snap->classes();
+      const ClassDef* root = snap->FindClass("Root");
+      // Each write section adds one sub-class of Root and one method on it.
+      if (snap->Subclasses(root).size() + 1 != classes.size() ||
+          snap->Methods(root).size() != classes.size()) {
+        mismatches.fetch_add(1);
+      }
+      for (const ClassDef* cls : classes) {
+        if (snap->FindMethod(cls, "size") == nullptr) mismatches.fetch_add(1);
+      }
+      Response rows = server.QueryCatalog(
+          "select c.name, c.subclasses from sys.classes c");
+      if (!rows.ok() || rows.result.rows.size() < classes.size()) {
+        mismatches.fetch_add(1);
+      }
+      passes.fetch_add(1, std::memory_order_release);
+    }
+  });
+  while (passes.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(client
+                    .Mutate([i](Database& d) {
+                      const std::string name = "Sub" + std::to_string(i);
+                      PROMETHEUS_RETURN_IF_ERROR(
+                          d.DefineClass(name, {"Root"}).status());
+                      MethodDef method;
+                      method.name = "m" + std::to_string(i);
+                      return d.DefineMethod("Root", std::move(method));
+                    })
+                    .ok());
+  }
+  const int seen = passes.load(std::memory_order_acquire);
+  while (passes.load(std::memory_order_acquire) < seen + 2) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  server.Shutdown();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(db.Subclasses(db.FindClass("Root")).size(), 100u);
 }
 
 // ------------------------------------------------------- writer churn race

@@ -669,15 +669,15 @@ TEST_F(NetTest, DebugContentionServesCumulativeAndWindowedReports) {
       << report.body;
   EXPECT_NE(report.body.find("\"rows\":[[\"false\","), std::string::npos);
   EXPECT_EQ(report.body.find("[\"true\","), std::string::npos);
-  EXPECT_EQ(RowCount(report.body), 8u);
+  EXPECT_EQ(RowCount(report.body), 7u);
   for (const char* state :
-       {"admission", "queue", "guard_shared", "guard_exclusive", "execute",
-        "journal_append", "journal_sync", "serialize"}) {
+       {"admission", "queue", "guard_exclusive", "execute", "journal_append",
+        "journal_sync", "serialize"}) {
     EXPECT_NE(report.body.find(StrCell(state)), std::string::npos)
         << state << " missing from " << report.body;
   }
   // The guard gauges are sys.metrics rows.
-  EXPECT_NE(Fetch("GET", "/stats").body.find(StrCell("guard_blocked_readers")),
+  EXPECT_NE(Fetch("GET", "/stats").body.find(StrCell("guard_blocked_writers")),
             std::string::npos);
 
   // sys.contention_window: every row's windowed column is true.
@@ -685,7 +685,7 @@ TEST_F(NetTest, DebugContentionServesCumulativeAndWindowedReports) {
   EXPECT_EQ(windowed.status_code, 200);
   EXPECT_NE(windowed.body.find("\"rows\":[[\"true\","), std::string::npos);
   EXPECT_EQ(windowed.body.find("[\"false\","), std::string::npos);
-  EXPECT_EQ(RowCount(windowed.body), 8u);
+  EXPECT_EQ(RowCount(windowed.body), 7u);
   // Wrong verb on the new route answers 405 like its siblings.
   EXPECT_EQ(Fetch("POST", "/debug/contention", "x").status_code, 405);
 }
@@ -785,20 +785,20 @@ TEST_F(NetTest, MetricsConformanceCoversWaitStateFamilies) {
   const std::string error = ParsePrometheusText(scrape.body, &exposition);
   EXPECT_TRUE(error.empty()) << error << "\n--- payload ---\n" << scrape.body;
   for (const char* family :
-       {"guard_wait_micros", "guard_hold_micros", "guard_blocked_readers",
-        "guard_blocked_writers", "guard_writer_held",
-        "guard_writer_last_hold_micros", "request_wait_micros",
+       {"guard_wait_micros", "guard_hold_micros", "guard_blocked_writers",
+        "guard_writer_held", "guard_writer_last_hold_micros",
+        "request_wait_micros",
         "journal_append_micros", "journal_sync_micros"}) {
     EXPECT_NE(exposition.Find(family), nullptr) << family << " not exposed";
   }
   // The labelled families carry their mode/state labels.
   const PromFamily* guard_wait = exposition.Find("guard_wait_micros");
   ASSERT_NE(guard_wait, nullptr);
-  bool saw_shared = false;
+  bool saw_exclusive = false;
   for (const auto& s : guard_wait->samples) {
-    if (s.Label("mode") == "shared") saw_shared = true;
+    if (s.Label("mode") == "exclusive") saw_exclusive = true;
   }
-  EXPECT_TRUE(saw_shared);
+  EXPECT_TRUE(saw_exclusive);
   const PromFamily* request_wait = exposition.Find("request_wait_micros");
   ASSERT_NE(request_wait, nullptr);
   bool saw_queue = false;

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -498,10 +500,11 @@ std::string Fingerprint(const ReadView& view) {
   return out.str();
 }
 
-/// Random scripts of write sections, guard-less mutations, aborted
-/// transactions, DDL and Clear, with snapshots pinned at random points: a
-/// pinned snapshot must read exactly as it did when pinned, both at the end
-/// and, from a second thread, while the writer runs.
+/// Random scripts of write sections, aborted transactions, DDL and Clear,
+/// with snapshots pinned at random points: a pinned snapshot must read
+/// exactly as it did when pinned, both at the end and, from a second
+/// thread, while the writer runs; and two pins at one epoch must read the
+/// same cut (the result cache keys on that epoch).
 TEST_P(FuzzSeeds, PinnedSnapshotsStayFrozenUnderRandomScripts) {
   std::mt19937 rng(GetParam() + 9000);
   Database db;
@@ -556,10 +559,14 @@ TEST_P(FuzzSeeds, PinnedSnapshotsStayFrozenUnderRandomScripts) {
       std::this_thread::yield();
     }
   });
+  std::map<std::uint64_t, std::string> cut_at_epoch;  // every pin, ever
   auto pin = [&] {
     SnapshotHandle snap = db.AcquireSnapshot();
     std::string fingerprint = Fingerprint(*snap);
     EXPECT_EQ(fingerprint, Fingerprint(db)) << "pinned cut differs from live";
+    const auto first = cut_at_epoch.emplace(snap->epoch(), fingerprint).first;
+    EXPECT_EQ(first->second, fingerprint)
+        << "two different cuts published at epoch " << snap->epoch();
     std::lock_guard<std::mutex> lk(mu);
     published.emplace_back(snap.shared(), fingerprint);
     pins.emplace_back(std::move(snap), std::move(fingerprint));
@@ -571,14 +578,12 @@ TEST_P(FuzzSeeds, PinnedSnapshotsStayFrozenUnderRandomScripts) {
     switch (rng() % 10) {
       case 0:
       case 1:
-      case 2: {
+      case 2:
+      case 3: {
         Database::WriteGuard guard(db);
         mutate();
         break;
       }
-      case 3:
-        mutate();  // single-threaded mutations, no guard
-        break;
       case 4: {
         Database::WriteGuard guard(db);
         ASSERT_TRUE(db.Begin().ok());

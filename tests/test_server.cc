@@ -1,7 +1,7 @@
 // The service layer (src/server/): envelope round-trips, backpressure,
 // shutdown semantics, and the concurrency stress the subsystem exists for —
-// many reader threads and a writer over one database, with the epoch guard
-// keeping every read a consistent snapshot.
+// many reader threads and a writer over one database, with MVCC keeping
+// every read a consistent snapshot.
 
 #include <gtest/gtest.h>
 
@@ -798,7 +798,7 @@ TEST(ClientRetryTest, GivesUpAfterMaxAttemptsAgainstAFullQueue) {
 // N reader threads + 1 writer thread over a seeded synthetic taxonomy.
 // The writer updates two attributes of one taxon to the same fresh value
 // inside a single mutation request; each reader query must observe the
-// pair consistent (no torn reads — the epoch guard makes every query a
+// pair consistent (no torn reads — every query reads one pinned
 // snapshot). Every submission is accounted for: exactly one response each.
 TEST(ServerStressTest, ReadersNeverSeeTornWrites) {
   TaxonomyDatabase tdb;

@@ -239,7 +239,7 @@ TEST(SnapshotTest, MethodsAndTemplatesSurvive) {
   Database loaded;
   ASSERT_TRUE(LoadSnapshot(&loaded, buffer).ok());
 
-  const MethodDef* m = loaded.FindClass("Taxon")->FindMethod("full_name");
+  const MethodDef* m = loaded.FindMethod(loaded.FindClass("Taxon"), "full_name");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->return_type, "string");
   ASSERT_EQ(m->parameters.size(), 1u);

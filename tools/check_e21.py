@@ -3,9 +3,12 @@
 
 Three checks, in decreasing strictness:
 
-  1. guard_shared_waits == 0  (always enforced): snapshot readers never
-     take the shared guard, on any host. A single shared-mode wait during
-     the churn phase means a read path regressed onto the lock.
+  1. guard_exclusive_acquisitions == writer_sections  (always enforced):
+     during the churn phase the write guard is acquired once per write
+     section the churn writer ran, and by nothing else. Snapshot readers
+     never take it, on any host; one extra acquisition means a read path
+     regressed onto the writer's lock. A phase with no writer section
+     fails, since equality would then hold vacuously.
   2. scaling_4v1 >= 1.5  (>= 4 cores, not host_bounded): lock-free reads
      must scale with workers; a regression here means readers serialize
      somewhere again.
@@ -39,14 +42,24 @@ def main(argv):
 
     failures = []
 
-    waits = e21.get("guard_shared_waits", -1)
-    if waits != 0:
+    acquisitions = e21.get("guard_exclusive_acquisitions", -1)
+    sections = e21.get("writer_sections", -2)
+    if not isinstance(sections, int) or sections <= 0:
         failures.append(
-            f"guard_shared_waits = {waits} (expected 0: MVCC snapshot "
-            "readers must never block on the shared guard)"
+            f"writer_sections = {sections} (the churn writer ran no write "
+            "section, so the guard check would hold vacuously)"
+        )
+    elif acquisitions != sections:
+        failures.append(
+            f"guard_exclusive_acquisitions = {acquisitions} but "
+            f"writer_sections = {sections} (expected equal: MVCC snapshot "
+            "readers must never take the writer's guard)"
         )
     else:
-        print("ok: guard_shared_waits == 0 under writer churn")
+        print(
+            f"ok: {acquisitions} write-guard acquisitions for {sections} "
+            "writer sections under churn"
+        )
 
     cores = bench.get("hardware_concurrency", 0)
     host_bounded = bool(e21.get("host_bounded", cores < 4))
