@@ -11,8 +11,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/database.h"
@@ -73,50 +74,55 @@ constexpr int kNodes = 1000;
 void PrintSeries() {
   prometheus::bench::PrintTableHeader(
       "E7: feature-cost ablation (creating 20000 links between 1000 nodes)",
-      "  configuration        ms       vs_raw");
-  {
-    // One untimed pass first, so the "raw" row does not pay the allocator
-    // and cache warm-up every later row inherits.
-    Fixture fx(kNodes);
-    for (int i = 0; i < 20000; ++i) fx.CreateOneLink();
-  }
-  double raw_ms = 0;
-  auto run = [&](const char* label, auto&& setup) {
-    // Fixture construction (1000 objects) happens outside the timed
-    // region; only the 5000 link creations are measured.
-    std::vector<double> samples;
-    for (int rep = 0; rep < 5; ++rep) {
-      Fixture fx(kNodes);
-      setup(fx);
-      samples.push_back(prometheus::bench::MedianMillis(
-          [&] {
-            for (int i = 0; i < 20000; ++i) fx.CreateOneLink();
-          },
-          1));
-    }
-    std::sort(samples.begin(), samples.end());
-    double ms = samples[samples.size() / 2];
-    if (raw_ms == 0) raw_ms = ms;
-    std::printf("  %-18s %8.3f   %5.2fx\n", label, ms, ms / raw_ms);
+      "  configuration        ms     iqr_ms   vs_raw");
+  struct Config {
+    const char* label;
+    void (*setup)(Fixture&);
   };
-  run("raw", [](Fixture& fx) {
-    fx.db.set_semantics_enabled(false);
-    fx.db.set_events_enabled(false);
-  });
-  run("+semantics", [](Fixture& fx) { fx.db.set_events_enabled(false); });
-  run("+events", [](Fixture&) {});
-  run("+index", [](Fixture& fx) {
-    fx.index = std::make_unique<IndexManager>(&fx.db);
-    (void)fx.index->CreateIndex("Node", "id");
-  });
-  run("+rules", [](Fixture& fx) {
-    fx.rules = std::make_unique<RuleEngine>(&fx.db);
-    for (int i = 0; i < 5; ++i) {
-      (void)fx.rules->AddRelationshipRule(
-          "edge_rule_" + std::to_string(i), "edge", "source != target",
-          "no self edges");
-    }
-  });
+  const Config configs[] = {
+      {"raw",
+       [](Fixture& fx) {
+         fx.db.set_semantics_enabled(false);
+         fx.db.set_events_enabled(false);
+       }},
+      {"+semantics", [](Fixture& fx) { fx.db.set_events_enabled(false); }},
+      {"+events", [](Fixture&) {}},
+      {"+index",
+       [](Fixture& fx) {
+         fx.index = std::make_unique<IndexManager>(&fx.db);
+         (void)fx.index->CreateIndex("Node", "id");
+       }},
+      {"+rules",
+       [](Fixture& fx) {
+         fx.rules = std::make_unique<RuleEngine>(&fx.db);
+         for (int i = 0; i < 5; ++i) {
+           (void)fx.rules->AddRelationshipRule(
+               "edge_rule_" + std::to_string(i), "edge", "source != target",
+               "no self edges");
+         }
+       }},
+  };
+  // Each run builds a fresh fixture (1000 objects) outside the timed
+  // region; only the 20000 link creations are measured. Every round runs
+  // each configuration once, in an order rotated per round.
+  const std::vector<prometheus::bench::Spread> spread =
+      prometheus::bench::RotatedRounds(std::size(configs), 7,
+                                       [&](std::size_t i) {
+                                         Fixture fx(kNodes);
+                                         configs[i].setup(fx);
+                                         return prometheus::bench::MedianMillis(
+                                             [&] {
+                                               for (int k = 0; k < 20000; ++k) {
+                                                 fx.CreateOneLink();
+                                               }
+                                             },
+                                             1);
+                                       });
+  for (std::size_t i = 0; i < spread.size(); ++i) {
+    std::printf("  %-18s %8.3f %8.3f   %5.2fx\n", configs[i].label,
+                spread[i].median, spread[i].iqr,
+                spread[i].median / spread[0].median);
+  }
 }
 
 void BM_LinkCreate(benchmark::State& state) {

@@ -316,6 +316,23 @@ int main(int argc, char** argv) {
     churn.writer_mutations += c.writer_mutations;
     lost_ms_signed += c.reader_busy_ms - b.reader_busy_ms;
   }
+  const double lost_ms = std::max(0.0, lost_ms_signed);
+  std::printf("  %-12s %15.3f  %8zu  %12s\n", "baseline", base.reader_busy_ms,
+              base.reader_requests, "-");
+  std::printf("  %-12s %15.3f  %8zu  %12llu\n", "churn", churn.reader_busy_ms,
+              churn.reader_requests,
+              static_cast<unsigned long long>(churn.writer_mutations));
+  std::printf("  lost reader wall-clock: %.3f ms", lost_ms);
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (cores < kE20Readers + 2) {
+    // With fewer cores than threads, the readers and the writer timeshare,
+    // so the lost time measures the host as much as the churn — same host
+    // caveat bench_server prints for scaling_4v1.
+    std::printf("  (only %u hardware thread%s — bounded by the host)", cores,
+                cores == 1 ? "" : "s");
+  }
+  std::printf("\n");
+
   // --- E22: catalog-poller tax on real-query throughput -----------------
   // Reuses the churn server (quiescent again after E20's writer stopped):
   // same 4 readers, but the contender is a monitoring poller cycling
@@ -346,23 +363,6 @@ int main(int argc, char** argv) {
               catalog_tax_pct);
 
   churn_server.Shutdown();
-
-  const double lost_ms = std::max(0.0, lost_ms_signed);
-  std::printf("  %-12s %15.3f  %8zu  %12s\n", "baseline", base.reader_busy_ms,
-              base.reader_requests, "-");
-  std::printf("  %-12s %15.3f  %8zu  %12llu\n", "churn", churn.reader_busy_ms,
-              churn.reader_requests,
-              static_cast<unsigned long long>(churn.writer_mutations));
-  std::printf("  lost reader wall-clock: %.3f ms", lost_ms);
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores < kE20Readers + 2) {
-    // With fewer cores than threads, the readers and the writer timeshare,
-    // so the lost time measures the host as much as the churn — same host
-    // caveat bench_server prints for scaling_4v1.
-    std::printf("  (only %u hardware thread%s — bounded by the host)", cores,
-                cores == 1 ? "" : "s");
-  }
-  std::printf("\n");
 
   JsonWriter json;
   json.BeginObject();

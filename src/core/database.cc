@@ -943,6 +943,7 @@ Status Database::Clear() {
   links_.Clear();
   objects_.Clear();
   schema_ = std::make_shared<SchemaTables>();
+  indexes_.reset();
   rel_template_order_.clear();
   rel_templates_.clear();
   next_oid_ = 1;

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -35,7 +34,7 @@ namespace prometheus {
 ///
 /// The database *is* its store: a `DbCut` (core/snapshot.h) holding every
 /// record once, as a counted version, plus the extents, context buckets,
-/// synonyms and schema tables, all of which the mutators below write
+/// synonyms, schema tables and attribute indexes, all of which the mutators below write
 /// copy-on-write. Reads are the cut's.
 ///
 /// Thread model, one protocol: one writer mutex, and after the first
@@ -160,21 +159,6 @@ class Database : public DbCut {
   /// share an epoch.
   std::uint64_t epoch() const override {
     return epoch_.load(std::memory_order_acquire);
-  }
-
-  /// The live view accepts any index state (index mutations track the live
-  /// database by construction).
-  std::uint64_t index_epoch_ceiling() const override {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-
-  /// The epoch the in-progress write section will commit as (epoch()+1
-  /// under a live WriteGuard, epoch() otherwise). Derived-state maintainers
-  /// (indexes) stamp their mutations with this so snapshot readers can tell
-  /// "index state as of my epoch" from "index already running ahead".
-  std::uint64_t pending_epoch() const {
-    return epoch() +
-           (writer_active_.load(std::memory_order_acquire) ? 1 : 0);
   }
 
   // ------------------------------------------------- MVCC snapshot reads
@@ -328,6 +312,15 @@ class Database : public DbCut {
   /// relationship class (thesis: deferred structural constraints).
   Status ValidateCardinality() const;
 
+  // ----------------------------------------------------- attribute indexes
+
+  /// The cut's index tables for writing: the index layer's mutation entry
+  /// (see `IndexManager`), under the same protocol as every mutator.
+  std::vector<AttributeIndex>& MutableIndexes() {
+    AssertExclusiveAccess();
+    return mvcc::Unshare(indexes_);
+  }
+
   // ----------------------------------------------------- storage substrate
 
   /// Raw restore of an object under a chosen oid — used by the storage
@@ -352,8 +345,8 @@ class Database : public DbCut {
   /// Guarantees future oids are allocated strictly above `oid`.
   void EnsureNextOidAbove(Oid oid);
 
-  /// Drops every schema definition, instance, link, synonym and the oid
-  /// counter, returning the database to its just-constructed state while
+  /// Drops every schema definition, instance, link, synonym, index and the
+  /// oid counter, returning the database to its just-constructed state while
   /// keeping identity: the event bus (and its subscribers) and the epoch
   /// guard survive, so holders of a `Database*` stay valid. Used by a
   /// replication follower to rebootstrap from a fresh leader snapshot in
@@ -419,7 +412,7 @@ class Database : public DbCut {
   void UndoAll();
 
   // The writer mutex (see WriteGuard). The atomics let the debug
-  // assertions, `epoch()` and `pending_epoch()` observe the guard's state.
+  // assertions and `epoch()` observe the guard's state.
   std::mutex guard_;
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<bool> writer_active_{false};

@@ -43,12 +43,6 @@ class ReadView {
   /// epoch (moving); for a snapshot it is the epoch of the cut (fixed).
   virtual std::uint64_t epoch() const = 0;
 
-  /// Largest index `dirty_epoch` this view may consume (see
-  /// `IndexManager::Lookup`'s `as_of`). The live database accepts any
-  /// index state (`UINT64_MAX`); a snapshot accepts only indexes untouched
-  /// since its epoch.
-  virtual std::uint64_t index_epoch_ceiling() const = 0;
-
   // ---------------------------------------------------------------- schema
   virtual const ClassDef* FindClass(std::string_view name) const = 0;
   virtual const RelationshipDef* FindRelationship(
@@ -95,6 +89,19 @@ class ReadView {
   virtual bool AreSynonyms(Oid a, Oid b) const = 0;
   virtual Oid CanonicalOf(Oid oid) const = 0;
   virtual std::vector<Oid> SynonymSet(Oid oid) const = 0;
+
+  // ------------------------------------------------- attribute indexes
+  virtual bool HasIndex(std::string_view class_name,
+                        std::string_view attr) const = 0;
+  virtual Result<std::vector<Oid>> Lookup(const std::string& class_name,
+                                          const std::string& attr,
+                                          const Value& value) const = 0;
+  virtual Result<std::vector<Oid>> RangeLookup(const std::string& class_name,
+                                               const std::string& attr,
+                                               const Value& lo,
+                                               const Value& hi) const = 0;
+  virtual std::vector<std::string> IndexedAttributes(
+      std::string_view class_name) const = 0;
 };
 
 namespace internal {

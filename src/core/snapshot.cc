@@ -285,6 +285,90 @@ std::vector<Oid> DbCut::SynonymSet(Oid oid) const {
   return out;
 }
 
+// ----------------------------------------------------------------- indexes
+
+OrderedKey OrderedKey::FromValue(const Value& v) {
+  OrderedKey key;
+  switch (v.type()) {
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      key.is_numeric = true;
+      key.num = v.ToNumeric().value();
+      break;
+    case ValueType::kString:
+      key.str = v.AsString();
+      break;
+    default:
+      break;
+  }
+  return key;
+}
+
+const std::vector<AttributeIndex>& DbCut::indexes() const {
+  static const std::vector<AttributeIndex> kNone;
+  return indexes_ == nullptr ? kNone : *indexes_;
+}
+
+const AttributeIndex* DbCut::FindIndex(std::string_view class_name,
+                                       std::string_view attr) const {
+  const ClassDef* cls = FindClass(class_name);
+  for (const AttributeIndex& ix : indexes()) {
+    if (ix.cls == cls && ix.attr == attr) return &ix;
+  }
+  return nullptr;
+}
+
+Result<std::vector<Oid>> DbCut::Lookup(const std::string& class_name,
+                                       const std::string& attr,
+                                       const Value& value) const {
+  const AttributeIndex* ix = FindIndex(class_name, attr);
+  if (ix == nullptr) {
+    return Status::NotFound("no index on " + class_name + "." + attr);
+  }
+  const IndexEntry from{ix->KeyOf(value), kNullOid};
+  std::vector<Oid> out;
+  ix->entries.ScanFrom(&from, [&](const IndexEntry& e) {
+    if (from.key < e.key) return false;
+    out.push_back(e.oid);
+    return true;
+  });
+  return out;
+}
+
+Result<std::vector<Oid>> DbCut::RangeLookup(const std::string& class_name,
+                                            const std::string& attr,
+                                            const Value& lo,
+                                            const Value& hi) const {
+  const AttributeIndex* ix = FindIndex(class_name, attr);
+  if (ix == nullptr) {
+    return Status::NotFound("no index on " + class_name + "." + attr);
+  }
+  if (!ix->ordered) {
+    return Status::FailedPrecondition("index on " + class_name + "." + attr +
+                                      " is a hash index; range lookups "
+                                      "require an ordered index");
+  }
+  const IndexEntry from{OrderedKey::FromValue(lo), kNullOid};
+  const OrderedKey upper = OrderedKey::FromValue(hi);
+  std::vector<Oid> out;
+  ix->entries.ScanFrom(lo.is_null() ? nullptr : &from,
+                       [&](const IndexEntry& e) {
+                         if (!hi.is_null() && upper < e.key) return false;
+                         out.push_back(e.oid);
+                         return true;
+                       });
+  return out;
+}
+
+std::vector<std::string> DbCut::IndexedAttributes(
+    std::string_view class_name) const {
+  std::vector<std::string> out;
+  for (const AttributeIndex& ix : indexes()) {
+    if (ix.cls->name() == class_name) out.push_back(ix.attr);
+  }
+  return out;
+}
+
 // --------------------------------------------------------------- snapshots
 
 DbSnapshot::DbSnapshot(const DbCut& cut, std::uint64_t epoch)

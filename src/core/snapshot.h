@@ -16,6 +16,7 @@
 #include "core/oid_table.h"
 #include "core/read_view.h"
 #include "core/schema.h"
+#include "core/sorted_runs.h"
 
 namespace prometheus {
 
@@ -44,12 +45,63 @@ struct SchemaTables {
   std::unordered_map<const ClassDef*, std::vector<MethodDef>> methods;
 };
 
+/// An attribute index key. An ordered index keys by value: numerics,
+/// compared as doubles, before strings; other types as the empty string.
+/// A hash index keys by `Value::IndexKey()`, held as a string.
+struct OrderedKey {
+  bool is_numeric = false;
+  double num = 0;
+  std::string str;
+
+  static OrderedKey FromValue(const Value& v);
+  static OrderedKey Hashed(const Value& v) { return {false, 0, v.IndexKey()}; }
+
+  bool operator<(const OrderedKey& o) const {
+    if (is_numeric != o.is_numeric) return is_numeric;  // numerics first
+    return is_numeric ? num < o.num : str < o.str;
+  }
+};
+
+/// One index entry, ordered by key, then oid.
+struct IndexEntry {
+  OrderedKey key;
+  Oid oid = kNullOid;
+  bool operator<(const IndexEntry& o) const {
+    if (key < o.key) return true;
+    return !(o.key < key) && oid < o.oid;
+  }
+};
+
+/// An indexed object's current key, ordered by oid: what maintenance
+/// erases when the object is updated or deleted.
+struct IndexedObject {
+  Oid oid = kNullOid;
+  OrderedKey key;
+  bool operator<(const IndexedObject& o) const { return oid < o.oid; }
+};
+
+/// One secondary attribute index of a cut (thesis 6.1.4) over the deep
+/// extent of `cls`, maintained by the `IndexManager` named by `owner`.
+struct AttributeIndex {
+  const ClassDef* cls = nullptr;
+  std::string attr;
+  bool ordered = false;
+  const void* owner = nullptr;
+  SortedRuns<IndexEntry> entries;
+  SortedRuns<IndexedObject> keys;
+
+  OrderedKey KeyOf(const Value& v) const {
+    return ordered ? OrderedKey::FromValue(v) : OrderedKey::Hashed(v);
+  }
+};
+
 /// The whole state of the database as one copy-on-write cut: the record
-/// tables, the extents, link extents and context buckets, the synonym map
-/// and the schema tables. The live `Database` *is* a cut, which its single
-/// writer mutates; a published `DbSnapshot` is a copy of it, taken by
-/// copy-constructing this class — one pointer per record page and per
-/// class, relationship and context bucket.
+/// tables, the extents, link extents and context buckets, the synonym map,
+/// the schema tables and the attribute indexes. The live `Database` *is* a
+/// cut, which its single writer mutates; a published `DbSnapshot` is a
+/// copy of it, taken by copy-constructing this class — one pointer per
+/// record page and per class, relationship and context bucket — so every
+/// snapshot carries the indexes of its own epoch.
 ///
 /// Every shared structure is written through `mvcc::Unshare`'s rule (and
 /// the record tables through `OidTable`'s), so the writer clones only what
@@ -176,6 +228,40 @@ class DbCut : public ReadView {
   /// duplicates stay unified), but deleted members are not reported.
   std::vector<Oid> SynonymSet(Oid oid) const override;
 
+  // --------------------------------------------------------------- indexes
+
+  /// True when `class_name.attr` is indexed.
+  bool HasIndex(std::string_view class_name,
+                std::string_view attr) const override {
+    return FindIndex(class_name, attr) != nullptr;
+  }
+
+  /// Exact-match lookup, ascending by oid; kNotFound when no such index
+  /// exists.
+  Result<std::vector<Oid>> Lookup(const std::string& class_name,
+                                  const std::string& attr,
+                                  const Value& value) const override;
+
+  /// Range lookup over an ordered index: lo <= value <= hi in key order; a
+  /// null bound is open. kNotFound without an index, kFailedPrecondition
+  /// on a hash index.
+  Result<std::vector<Oid>> RangeLookup(const std::string& class_name,
+                                       const std::string& attr,
+                                       const Value& lo,
+                                       const Value& hi) const override;
+
+  /// Attributes indexed on `class_name` itself (indexes on a superclass
+  /// cover this extent too but are reported on their defining class).
+  std::vector<std::string> IndexedAttributes(
+      std::string_view class_name) const override;
+
+  /// The index on `class_name.attr`, or nullptr.
+  const AttributeIndex* FindIndex(std::string_view class_name,
+                                  std::string_view attr) const;
+
+  /// Every index of this cut, in creation order.
+  const std::vector<AttributeIndex>& indexes() const;
+
   /// Debug check of the reader's side of the locking protocol, run by the
   /// record and extent reads in debug builds. An immutable snapshot needs
   /// none; the live `Database` overrides it.
@@ -210,6 +296,8 @@ class DbCut : public ReadView {
   // (undoability); absent key == singleton set, null == no synonyms.
   std::shared_ptr<std::unordered_map<Oid, Oid>> synonym_parent_;
   std::shared_ptr<SchemaTables> schema_;
+  // Null == no index.
+  std::shared_ptr<std::vector<AttributeIndex>> indexes_;
 };
 
 /// A consistent immutable cut of the whole database at one epoch. Readers
@@ -224,7 +312,6 @@ class DbSnapshot final : public DbCut {
   ~DbSnapshot() override;
 
   std::uint64_t epoch() const override { return epoch_; }
-  std::uint64_t index_epoch_ceiling() const override { return epoch_; }
 
  private:
   friend class Database;

@@ -1,59 +1,9 @@
 #include "index/index_manager.h"
 
-#include <algorithm>
-
-#include "obs/metrics.h"
+#include <utility>
+#include <vector>
 
 namespace prometheus {
-
-namespace {
-
-/// Process-wide index counters: lookups that found an index vs. requests
-/// for a class/attribute pair with no index, plus incremental maintenance
-/// work triggered by mutation events.
-struct IndexMetrics {
-  obs::Counter* lookup_hits;
-  obs::Counter* lookup_misses;
-  obs::Counter* maintenance;
-
-  static const IndexMetrics& Get() {
-    static const IndexMetrics m = [] {
-      obs::MetricsRegistry& reg = obs::Registry();
-      IndexMetrics im;
-      im.lookup_hits = reg.GetCounter(
-          "index_lookup_hits_total",
-          "Index lookups served by an existing index");
-      im.lookup_misses = reg.GetCounter(
-          "index_lookup_misses_total",
-          "Index lookups for class/attribute pairs with no index");
-      im.maintenance = reg.GetCounter(
-          "index_maintenance_updates_total",
-          "Index entries inserted/removed by mutation events");
-      return im;
-    }();
-    return m;
-  }
-};
-
-}  // namespace
-
-IndexManager::OrderedKey IndexManager::OrderedKey::FromValue(const Value& v) {
-  OrderedKey key;
-  switch (v.type()) {
-    case ValueType::kInt:
-    case ValueType::kDouble:
-      key.is_numeric = true;
-      key.num = v.ToNumeric().value();
-      break;
-    case ValueType::kString:
-      key.str = v.AsString();
-      break;
-    default:
-      // Nulls and other types sort as the empty string.
-      break;
-  }
-  return key;
-}
 
 IndexManager::IndexManager(Database* db) : db_(db) {
   listener_ = db_->bus().Subscribe(
@@ -64,7 +14,13 @@ IndexManager::IndexManager(Database* db) : db_(db) {
       /*priority=*/50);
 }
 
-IndexManager::~IndexManager() { db_->bus().Unsubscribe(listener_); }
+IndexManager::~IndexManager() {
+  Database::WriteGuard guard(*db_);
+  db_->bus().Unsubscribe(listener_);
+  std::erase_if(db_->MutableIndexes(), [this](const AttributeIndex& ix) {
+    return ix.owner == this;
+  });
+}
 
 Status IndexManager::CreateIndex(const std::string& class_name,
                                  const std::string& attr, bool ordered) {
@@ -76,204 +32,81 @@ Status IndexManager::CreateIndex(const std::string& class_name,
     return Status::NotFound("class '" + class_name + "' has no attribute '" +
                             attr + "'");
   }
-  if (HasIndex(class_name, attr)) {
+  if (db_->HasIndex(class_name, attr)) {
     return Status::InvalidArgument("index on " + class_name + "." + attr +
                                    " already exists");
   }
-  auto index = std::make_unique<Index>();
-  index->cls = cls;
-  index->attr = attr;
-  index->ordered = ordered;
-  // Backfill from the deep extent. The new index only reflects the state
-  // at the pending epoch; older snapshots must not consult it.
-  index->dirty_epoch = db_->pending_epoch();
+  AttributeIndex index;
+  index.cls = cls;
+  index.attr = attr;
+  index.ordered = ordered;
+  index.owner = this;
+  // Bulk build from the deep extent: collect, sort once, cut into runs.
+  std::vector<IndexEntry> entries;
+  std::vector<IndexedObject> keys;
   for (Oid oid : db_->Extent(class_name)) {
-    auto v = db_->GetAttribute(oid, attr);
-    if (v.ok()) InsertEntry(index.get(), oid, v.value());
+    Result<Value> v = db_->GetAttribute(oid, attr);
+    if (!v.ok()) continue;
+    OrderedKey key = index.KeyOf(v.value());
+    entries.push_back({key, oid});
+    keys.push_back({oid, std::move(key)});
   }
-  std::unique_lock lock(mu_);
-  indexes_.push_back(std::move(index));
+  index.entries = SortedRuns<IndexEntry>(std::move(entries));
+  index.keys = SortedRuns<IndexedObject>(std::move(keys));
+  db_->MutableIndexes().push_back(std::move(index));
   return Status::Ok();
 }
 
 Status IndexManager::DropIndex(const std::string& class_name,
                                const std::string& attr) {
-  const ClassDef* cls = db_->FindClass(class_name);
-  std::unique_lock lock(mu_);
-  auto it = std::find_if(indexes_.begin(), indexes_.end(),
-                         [&](const std::unique_ptr<Index>& ix) {
-                           return ix->cls == cls && ix->attr == attr;
-                         });
-  if (it == indexes_.end()) {
+  const AttributeIndex* found = db_->FindIndex(class_name, attr);
+  if (found == nullptr || found->owner != this) {
     return Status::NotFound("no index on " + class_name + "." + attr);
   }
-  indexes_.erase(it);
+  const ClassDef* cls = found->cls;
+  std::erase_if(db_->MutableIndexes(), [&](const AttributeIndex& ix) {
+    return ix.owner == this && ix.cls == cls && ix.attr == attr;
+  });
   return Status::Ok();
 }
 
-bool IndexManager::HasIndex(const std::string& class_name,
-                            const std::string& attr) const {
-  std::shared_lock lock(mu_);
-  return FindIndex(class_name, attr) != nullptr;
-}
-
-/// Caller must hold mu_ (shared suffices).
-const IndexManager::Index* IndexManager::FindIndex(
-    const std::string& class_name, const std::string& attr) const {
-  const ClassDef* cls = db_->FindClass(class_name);
-  if (cls == nullptr) return nullptr;
-  for (const auto& ix : indexes_) {
-    if (ix->cls == cls && ix->attr == attr) return ix.get();
-  }
-  return nullptr;
-}
-
-Result<std::vector<Oid>> IndexManager::Lookup(const std::string& class_name,
-                                              const std::string& attr,
-                                              const Value& value,
-                                              std::uint64_t as_of) const {
-  std::shared_lock lock(mu_);
-  const Index* ix = FindIndex(class_name, attr);
-  if (ix == nullptr) {
-    IndexMetrics::Get().lookup_misses->Increment();
-    return Status::NotFound("no index on " + class_name + "." + attr);
-  }
-  if (ix->dirty_epoch > as_of) {
-    return Status::Unavailable("index on " + class_name + "." + attr +
-                               " has run ahead of snapshot epoch");
-  }
-  IndexMetrics::Get().lookup_hits->Increment();
-  std::vector<Oid> out;
-  if (ix->ordered) {
-    auto [lo, hi] = ix->tree.equal_range(OrderedKey::FromValue(value));
-    for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-  } else {
-    auto [lo, hi] = ix->hash.equal_range(value.IndexKey());
-    for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-  }
-  return out;
-}
-
-Result<std::vector<Oid>> IndexManager::RangeLookup(
-    const std::string& class_name, const std::string& attr, const Value& lo,
-    const Value& hi, std::uint64_t as_of) const {
-  std::shared_lock lock(mu_);
-  const Index* ix = FindIndex(class_name, attr);
-  if (ix == nullptr) {
-    IndexMetrics::Get().lookup_misses->Increment();
-    return Status::NotFound("no index on " + class_name + "." + attr);
-  }
-  if (ix->dirty_epoch > as_of) {
-    return Status::Unavailable("index on " + class_name + "." + attr +
-                               " has run ahead of snapshot epoch");
-  }
-  IndexMetrics::Get().lookup_hits->Increment();
-  if (!ix->ordered) {
-    return Status::FailedPrecondition("index on " + class_name + "." + attr +
-                                      " is a hash index; range lookups "
-                                      "require an ordered index");
-  }
-  auto begin = lo.is_null()
-                   ? ix->tree.begin()
-                   : ix->tree.lower_bound(OrderedKey::FromValue(lo));
-  auto end = hi.is_null() ? ix->tree.end()
-                          : ix->tree.upper_bound(OrderedKey::FromValue(hi));
-  std::vector<Oid> out;
-  for (auto it = begin; it != end; ++it) out.push_back(it->second);
-  return out;
-}
-
-std::size_t IndexManager::total_entries() const {
-  std::shared_lock lock(mu_);
-  std::size_t n = 0;
-  for (const auto& ix : indexes_) {
-    n += ix->ordered ? ix->tree.size() : ix->hash.size();
-  }
-  return n;
-}
-
-std::vector<std::string> IndexManager::IndexedAttributes(
-    const std::string& class_name) const {
-  std::shared_lock lock(mu_);
-  std::vector<std::string> out;
-  for (const auto& ix : indexes_) {
-    if (ix->cls != nullptr && ix->cls->name() == class_name) {
-      out.push_back(ix->attr);
-    }
-  }
-  return out;
-}
-
-void IndexManager::InsertEntry(Index* index, Oid oid, const Value& value) {
-  if (index->ordered) {
-    index->tree.emplace(OrderedKey::FromValue(value), oid);
-  } else {
-    index->hash.emplace(value.IndexKey(), oid);
-  }
-  index->current[oid] = value;
-}
-
-void IndexManager::RemoveEntry(Index* index, Oid oid) {
-  auto cur = index->current.find(oid);
-  if (cur == index->current.end()) return;
-  if (index->ordered) {
-    auto [lo, hi] = index->tree.equal_range(OrderedKey::FromValue(cur->second));
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == oid) {
-        index->tree.erase(it);
-        break;
-      }
-    }
-  } else {
-    auto [lo, hi] = index->hash.equal_range(cur->second.IndexKey());
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == oid) {
-        index->hash.erase(it);
-        break;
-      }
-    }
-  }
-  index->current.erase(cur);
-}
-
 void IndexManager::OnEvent(const Event& event) {
-  std::unique_lock lock(mu_);
-  switch (event.kind) {
-    case EventKind::kAfterCreateObject: {
-      for (auto& ix : indexes_) {
-        if (!db_->IsInstanceOf(event.subject, ix->cls->name())) continue;
-        auto v = db_->GetAttribute(event.subject, ix->attr);
-        if (v.ok()) {
-          InsertEntry(ix.get(), event.subject, v.value());
-          ix->dirty_epoch = db_->pending_epoch();
-          IndexMetrics::Get().maintenance->Increment();
-        }
-      }
-      break;
+  const EventKind kind = event.kind;
+  if (kind != EventKind::kAfterCreateObject &&
+      kind != EventKind::kAfterDeleteObject &&
+      kind != EventKind::kAfterSetAttribute) {
+    return;
+  }
+  const Object* created = kind == EventKind::kAfterCreateObject
+                              ? db_->GetObject(event.subject)
+                              : nullptr;
+  const IndexedObject probe{event.subject, {}};
+  for (std::size_t i = 0; i < db_->indexes().size(); ++i) {
+    // Read first: the cut's index tables are cloned for writing only when
+    // this event changes one of this manager's indexes.
+    const AttributeIndex& ix = db_->indexes()[i];
+    if (ix.owner != this) continue;
+    Value value = event.new_value;
+    if (kind == EventKind::kAfterCreateObject) {
+      if (created == nullptr || !created->cls->IsSubclassOf(ix.cls)) continue;
+      Result<Value> v = db_->GetAttribute(event.subject, ix.attr);
+      if (!v.ok()) continue;
+      value = std::move(v).value();
+    } else if ((kind == EventKind::kAfterSetAttribute &&
+                ix.attr != event.attribute) ||
+               ix.keys.Find(probe) == nullptr) {
+      continue;
     }
-    case EventKind::kAfterDeleteObject: {
-      for (auto& ix : indexes_) {
-        if (ix->current.count(event.subject) != 0) {
-          ix->dirty_epoch = db_->pending_epoch();
-          IndexMetrics::Get().maintenance->Increment();
-        }
-        RemoveEntry(ix.get(), event.subject);
-      }
-      break;
+    AttributeIndex& w = db_->MutableIndexes()[i];
+    if (kind != EventKind::kAfterCreateObject) {
+      w.entries.Erase({w.keys.Find(probe)->key, event.subject});
+      w.keys.Erase(probe);
     }
-    case EventKind::kAfterSetAttribute: {
-      for (auto& ix : indexes_) {
-        if (ix->attr != event.attribute) continue;
-        if (!ix->current.count(event.subject)) continue;
-        RemoveEntry(ix.get(), event.subject);
-        InsertEntry(ix.get(), event.subject, event.new_value);
-        ix->dirty_epoch = db_->pending_epoch();
-        IndexMetrics::Get().maintenance->Increment();
-      }
-      break;
+    if (kind != EventKind::kAfterDeleteObject) {
+      OrderedKey key = w.KeyOf(value);
+      w.entries.Insert({key, event.subject});
+      w.keys.Insert({event.subject, std::move(key)});
     }
-    default:
-      break;
   }
 }
 

@@ -38,7 +38,6 @@ struct EngineMetrics {
   obs::Counter* rows_returned;
   obs::Counter* index_lookups;
   obs::Counter* extent_scans;
-  obs::Counter* index_fallbacks;
   obs::Counter* catalog_materializations;
   obs::Histogram* latency;
 
@@ -62,10 +61,6 @@ struct EngineMetrics {
                          "Ranges resolved through an attribute index");
       em.extent_scans = reg.GetCounter("pool_extent_scans_total",
                                        "Ranges resolved by full extent scan");
-      em.index_fallbacks = reg.GetCounter(
-          "pool_index_fallbacks_total",
-          "Index lookups abandoned mid-plan (index ran ahead of the "
-          "snapshot, or was dropped) and resolved by extent scan instead");
       em.catalog_materializations = reg.GetCounter(
           "pool_catalog_materializations_total",
           "sys.* virtual extents materialized from live server state");
@@ -107,6 +102,49 @@ class ScopedCatalogScope {
   CatalogScope local_;
   bool installed_ = false;
 };
+
+/// The structural access-path analysis (6.1.5.3): per extent range of
+/// `query`, every where-clause conjunct `var.attr = literal`, keyed by the
+/// range's address. Whether an index (or even the class) exists is left to
+/// execution, which checks it against the view it reads.
+std::unordered_map<const void*, std::vector<cache::PlanEntry::EqConjunct>>
+EqConjuncts(const SelectQuery& query) {
+  std::unordered_map<const void*, std::vector<cache::PlanEntry::EqConjunct>>
+      out;
+  if (query.where == nullptr) return out;
+  std::vector<const Expr*> conjuncts;
+  std::function<void(const Expr*)> flatten = [&](const Expr* e) {
+    if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
+      flatten(e->children[0].get());
+      flatten(e->children[1].get());
+    } else {
+      conjuncts.push_back(e);
+    }
+  };
+  flatten(query.where.get());
+  for (const FromRange& range : query.from) {
+    if (range.source_expr != nullptr) continue;
+    std::vector<cache::PlanEntry::EqConjunct> found;
+    for (const Expr* c : conjuncts) {
+      if (c->kind != ExprKind::kBinary || c->binary_op != BinaryOp::kEq) {
+        continue;
+      }
+      const Expr* path = c->children[0].get();
+      const Expr* lit = c->children[1].get();
+      if (path->kind != ExprKind::kPath) std::swap(path, lit);
+      if (path->kind != ExprKind::kPath || lit->kind != ExprKind::kLiteral) {
+        continue;
+      }
+      const Expr* base = path->children[0].get();
+      if (base->kind != ExprKind::kVariable || base->name != range.variable) {
+        continue;
+      }
+      found.push_back({path->name, lit});
+    }
+    if (!found.empty()) out.emplace(&range, std::move(found));
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -185,18 +223,12 @@ Result<ResultSet> QueryEngine::Execute(const std::string& query,
       metrics.errors->Increment();
       return parsed.status();
     }
-    if (plan_cache_ == nullptr) {
-      Result<ResultSet> result =
-          ExecuteInternal(*parsed.value(), Environment{}, nullptr, ctx);
-      if (!result.ok()) metrics.errors->Increment();
-      return result;
-    }
     plan = BuildPlanEntry(
         std::shared_ptr<const SelectQuery>(std::move(parsed).value()));
-    plan_cache_->Insert(query, plan);
+    if (plan_cache_ != nullptr) plan_cache_->Insert(query, plan);
   }
   Result<ResultSet> result =
-      ExecuteInternal(*plan->ast, Environment{}, nullptr, ctx, plan.get());
+      ExecuteInternal(*plan->ast, Environment{}, nullptr, ctx, *plan);
   if (!result.ok()) metrics.errors->Increment();
   return result;
 }
@@ -229,7 +261,6 @@ Result<QueryProfile> QueryEngine::ExecuteProfiled(
                             : "plan miss";
     out.trace.children.push_back(std::move(cache_node));
   }
-  std::unique_ptr<SelectQuery> uncached;  ///< owns a cache-less parse
   if (plan == nullptr) {
     obs::TraceNode parse_node("parse");
     Result<std::unique_ptr<SelectQuery>> parsed = [&] {
@@ -241,18 +272,13 @@ Result<QueryProfile> QueryEngine::ExecuteProfiled(
       metrics.errors->Increment();
       return parsed.status();
     }
-    if (plan_cache_ != nullptr) {
-      plan = BuildPlanEntry(
-          std::shared_ptr<const SelectQuery>(std::move(parsed).value()));
-      plan_cache_->Insert(body, plan);
-    } else {
-      uncached = std::move(parsed).value();
-    }
+    plan = BuildPlanEntry(
+        std::shared_ptr<const SelectQuery>(std::move(parsed).value()));
+    if (plan_cache_ != nullptr) plan_cache_->Insert(body, plan);
   }
 
-  const SelectQuery& ast = plan != nullptr ? *plan->ast : *uncached;
-  Result<ResultSet> rows = ExecuteInternal(ast, Environment{}, &out.trace,
-                                           ctx, plan.get());
+  Result<ResultSet> rows = ExecuteInternal(*plan->ast, Environment{},
+                                           &out.trace, ctx, *plan);
   if (!rows.ok()) {
     metrics.errors->Increment();
     return rows.status();
@@ -1001,97 +1027,31 @@ struct QueryEngine::RangeBinding {
   std::string strategy;           ///< access path chosen (profiling)
 };
 
-const Expr* QueryEngine::FindIndexableConjunct(const SelectQuery& query,
-                                               const FromRange& range,
-                                               std::string* attr) const {
-  if (indexes_ == nullptr || query.where == nullptr ||
-      range.source_expr != nullptr) {
-    return nullptr;
+std::shared_ptr<const cache::PlanEntry> QueryEngine::BuildPlanEntry(
+    std::shared_ptr<const SelectQuery> ast) const {
+  auto entry = std::make_shared<cache::PlanEntry>();
+  // Read only by an engine with indexes, or by one sharing its plan cache.
+  if (indexes_ != nullptr || plan_cache_ != nullptr) {
+    entry->eq_conjuncts = EqConjuncts(*ast);
   }
-  const std::string& name = range.source_name;
-  if (view().FindClass(name) == nullptr) return nullptr;
-  std::vector<const Expr*> conjuncts;
-  std::function<void(const Expr*)> flatten = [&](const Expr* e) {
-    if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
-      flatten(e->children[0].get());
-      flatten(e->children[1].get());
-    } else {
-      conjuncts.push_back(e);
-    }
-  };
-  flatten(query.where.get());
-  for (const Expr* c : conjuncts) {
-    if (c->kind != ExprKind::kBinary || c->binary_op != BinaryOp::kEq) {
-      continue;
-    }
-    const Expr* path = c->children[0].get();
-    const Expr* lit = c->children[1].get();
-    if (path->kind != ExprKind::kPath) std::swap(path, lit);
-    if (path->kind != ExprKind::kPath || lit->kind != ExprKind::kLiteral) {
-      continue;
-    }
-    const Expr* base = path->children[0].get();
-    if (base->kind != ExprKind::kVariable || base->name != range.variable) {
-      continue;
-    }
-    if (!indexes_->HasIndex(name, path->name)) continue;
-    *attr = path->name;
-    return lit;
+  entry->ast = std::move(ast);
+  return entry;
+}
+
+const cache::PlanEntry::EqConjunct* QueryEngine::IndexedConjunct(
+    const cache::PlanEntry& plan, const FromRange& range) const {
+  if (indexes_ == nullptr) return nullptr;
+  auto it = plan.eq_conjuncts.find(&range);
+  if (it == plan.eq_conjuncts.end()) return nullptr;
+  for (const cache::PlanEntry::EqConjunct& cand : it->second) {
+    if (view().HasIndex(range.source_name, cand.attribute)) return &cand;
   }
   return nullptr;
 }
 
-std::shared_ptr<const cache::PlanEntry> QueryEngine::BuildPlanEntry(
-    std::shared_ptr<const SelectQuery> ast) const {
-  auto entry = std::make_shared<cache::PlanEntry>();
-  entry->ast = std::move(ast);
-  const SelectQuery& query = *entry->ast;
-  if (query.where == nullptr) return entry;
-  // The same conjunct flattening FindIndexableConjunct does, but purely
-  // structural: every `var.attr = literal` is recorded as a candidate
-  // whether or not an index (or even the class) exists right now — those
-  // checks belong to execution time, so the cached plan survives index
-  // DDL and stays correct across it.
-  std::vector<const Expr*> conjuncts;
-  std::function<void(const Expr*)> flatten = [&](const Expr* e) {
-    if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
-      flatten(e->children[0].get());
-      flatten(e->children[1].get());
-    } else {
-      conjuncts.push_back(e);
-    }
-  };
-  flatten(query.where.get());
-  for (const FromRange& range : query.from) {
-    if (range.source_expr != nullptr) continue;
-    std::vector<cache::PlanEntry::EqConjunct> found;
-    for (const Expr* c : conjuncts) {
-      if (c->kind != ExprKind::kBinary || c->binary_op != BinaryOp::kEq) {
-        continue;
-      }
-      const Expr* path = c->children[0].get();
-      const Expr* lit = c->children[1].get();
-      if (path->kind != ExprKind::kPath) std::swap(path, lit);
-      if (path->kind != ExprKind::kPath || lit->kind != ExprKind::kLiteral) {
-        continue;
-      }
-      const Expr* base = path->children[0].get();
-      if (base->kind != ExprKind::kVariable || base->name != range.variable) {
-        continue;
-      }
-      found.push_back({path->name, lit});
-    }
-    if (!found.empty()) {
-      entry->eq_conjuncts.emplace(&range, std::move(found));
-    }
-  }
-  return entry;
-}
-
 Result<std::vector<Value>> QueryEngine::RangeCandidates(
-    const SelectQuery& query, const FromRange& range, const Environment& env,
-    std::string* strategy, const cache::PlanEntry* plan) const {
-  (void)env;
+    const FromRange& range, std::string* strategy,
+    const cache::PlanEntry& plan) const {
   auto refs = [](const std::vector<Oid>& oids) {
     std::vector<Value> out;
     out.reserve(oids.size());
@@ -1125,43 +1085,19 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
   }
   // Index optimization (6.1.5.2/3): when the where clause contains a
   // conjunct `var.attr = literal` with an index on (class, attr), replace
-  // the extent scan by an index lookup. With a cached plan the conjunct
-  // walk is pre-done; only the index-existence probe runs here.
-  std::string attr;
-  const Expr* literal = nullptr;
-  if (plan != nullptr) {
-    if (indexes_ != nullptr && is_class) {
-      auto it = plan->eq_conjuncts.find(&range);
-      if (it != plan->eq_conjuncts.end()) {
-        for (const cache::PlanEntry::EqConjunct& cand : it->second) {
-          if (indexes_->HasIndex(name, cand.attribute)) {
-            attr = cand.attribute;
-            literal = cand.literal;
-            break;
-          }
-        }
-      }
+  // the extent scan by an index lookup. The view carries its own epoch's
+  // indexes, so the lookup answers exactly what a scan of it would.
+  if (const cache::PlanEntry::EqConjunct* cand =
+          is_class ? IndexedConjunct(plan, range) : nullptr) {
+    PROMETHEUS_ASSIGN_OR_RETURN(
+        std::vector<Oid> oids,
+        view().Lookup(name, cand->attribute, cand->literal->literal));
+    metrics.index_lookups->Increment();
+    ExtentHeat::Instance().RecordIndexHit(name, oids.size());
+    if (strategy != nullptr) {
+      *strategy = "index lookup on " + name + "." + cand->attribute;
     }
-  } else {
-    literal = FindIndexableConjunct(query, range, &attr);
-  }
-  if (literal != nullptr) {
-    // The HasIndex probe above and this lookup are distinct critical
-    // sections, and under MVCC the index may also have run ahead of the
-    // snapshot this query reads through. Either way the lookup itself is
-    // the source of truth: any failure falls through to the extent scan,
-    // which is always correct against the current view.
-    Result<std::vector<Oid>> oids = indexes_->Lookup(
-        name, attr, literal->literal, view().index_epoch_ceiling());
-    if (oids.ok()) {
-      metrics.index_lookups->Increment();
-      ExtentHeat::Instance().RecordIndexHit(name, oids.value().size());
-      if (strategy != nullptr) {
-        *strategy = "index lookup on " + name + "." + attr;
-      }
-      return refs(oids.value());
-    }
-    metrics.index_fallbacks->Increment();
+    return refs(oids);
   }
   metrics.extent_scans->Increment();
   if (strategy != nullptr) {
@@ -1176,8 +1112,11 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
 Result<std::string> QueryEngine::Explain(const std::string& query) const {
   PROMETHEUS_ASSIGN_OR_RETURN(std::unique_ptr<SelectQuery> parsed,
                               ParseQuery(query));
+  const std::shared_ptr<const cache::PlanEntry> plan =
+      BuildPlanEntry(std::move(parsed));
+  const SelectQuery& ast = *plan->ast;
   std::string out;
-  for (const FromRange& range : parsed->from) {
+  for (const FromRange& range : ast.from) {
     out += range.variable;
     out += ": ";
     if (range.source_expr != nullptr) {
@@ -1189,9 +1128,9 @@ Result<std::string> QueryEngine::Explain(const std::string& query) const {
       }
       out += "catalog materialization of " + range.source_name;
     } else if (view().FindClass(range.source_name) != nullptr) {
-      std::string attr;
-      if (FindIndexableConjunct(*parsed, range, &attr) != nullptr) {
-        out += "index lookup on " + range.source_name + "." + attr;
+      if (const cache::PlanEntry::EqConjunct* cand =
+              IndexedConjunct(*plan, range)) {
+        out += "index lookup on " + range.source_name + "." + cand->attribute;
       } else {
         out += "extent scan of class " + range.source_name;
       }
@@ -1202,22 +1141,24 @@ Result<std::string> QueryEngine::Explain(const std::string& query) const {
     }
     out += "\n";
   }
-  if (!parsed->group_by.empty()) out += "group by: hash grouping\n";
-  if (!parsed->order_by.empty()) out += "order by: sort\n";
+  if (!ast.group_by.empty()) out += "group by: hash grouping\n";
+  if (!ast.order_by.empty()) out += "order by: sort\n";
   return out;
 }
 
 Result<ResultSet> QueryEngine::Execute(const SelectQuery& query,
                                        const Environment& outer,
                                        const ExecutionContext* ctx) const {
-  return ExecuteInternal(query, outer, nullptr, ctx);
+  cache::PlanEntry plan;  // the analysis of a subquery's borrowed AST
+  if (indexes_ != nullptr) plan.eq_conjuncts = EqConjuncts(query);
+  return ExecuteInternal(query, outer, nullptr, ctx, plan);
 }
 
 Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
                                                const Environment& outer,
                                                obs::TraceNode* trace,
                                                const ExecutionContext* ctx,
-                                               const cache::PlanEntry* plan)
+                                               const cache::PlanEntry& plan)
     const {
   // Const-execution contract: this path never mutates the database. When
   // the thread reads through a pinned snapshot the epoch is immutable by
@@ -1247,8 +1188,8 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
     if (r.source_expr == nullptr) {
       PROMETHEUS_ASSIGN_OR_RETURN(
           rb.candidates,
-          RangeCandidates(query, r, outer,
-                          trace != nullptr ? &rb.strategy : nullptr, plan));
+          RangeCandidates(r, trace != nullptr ? &rb.strategy : nullptr,
+                          plan));
     } else {
       rb.strategy = "dependent expression (evaluated per outer binding)";
     }

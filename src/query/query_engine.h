@@ -67,7 +67,9 @@ struct QueryProfile {
 /// committed under a live-database read.
 class QueryEngine {
  public:
-  /// `db` (and `indexes`, when given) must outlive the engine.
+  /// `db` must outlive the engine. With `indexes` (which the engine only
+  /// tests for null) equality conjuncts use the view's indexes; without,
+  /// the engine never uses an index.
   explicit QueryEngine(Database* db, IndexManager* indexes = nullptr)
       : db_(db), indexes_(indexes) {}
 
@@ -104,8 +106,8 @@ class QueryEngine {
 
   /// Parses and runs a query against an explicit read view (typically a
   /// pinned `DbSnapshot`): installs it as the thread's view for the
-  /// duration, so every read — including index-fallback extent scans and
-  /// subqueries — observes exactly that snapshot.
+  /// duration, so every read — index lookups and subqueries included —
+  /// observes exactly that snapshot.
   Result<ResultSet> Execute(const std::string& query, const ReadView& view,
                             const ExecutionContext* ctx = nullptr) const {
     ScopedReadView scope(&view);
@@ -173,24 +175,21 @@ class QueryEngine {
 
   /// Runs a parsed query; `trace` (nullable) receives plan/execute/sort/
   /// project child spans when profiling; `ctx` (nullable) is checked once
-  /// per enumerated binding; `plan` (nullable) supplies the cached
-  /// access-path analysis so the where-clause need not be re-walked.
+  /// per enumerated binding; `plan` is the query's access-path analysis
+  /// (`BuildPlanEntry`'s, cached or not).
   Result<ResultSet> ExecuteInternal(const SelectQuery& query,
                                     const Environment& outer,
                                     obs::TraceNode* trace,
                                     const ExecutionContext* ctx,
-                                    const cache::PlanEntry* plan = nullptr)
-      const;
+                                    const cache::PlanEntry& plan) const;
 
   /// Candidate oids for an extent range, narrowed through an index when the
   /// where-clause pins `var.attr` to a constant. `strategy` (nullable)
-  /// receives the human-readable access path chosen; `plan` (nullable)
-  /// short-circuits the conjunct walk with the cached candidates.
-  Result<std::vector<Value>> RangeCandidates(const SelectQuery& query,
-                                             const FromRange& range,
-                                             const Environment& env,
+  /// receives the human-readable access path chosen; `plan` holds the
+  /// query's access-path analysis.
+  Result<std::vector<Value>> RangeCandidates(const FromRange& range,
                                              std::string* strategy,
-                                             const cache::PlanEntry* plan)
+                                             const cache::PlanEntry& plan)
       const;
 
   /// Wraps a freshly parsed AST plus its structural access-path analysis
@@ -198,11 +197,11 @@ class QueryEngine {
   std::shared_ptr<const cache::PlanEntry> BuildPlanEntry(
       std::shared_ptr<const SelectQuery> ast) const;
 
-  /// The where-clause conjunct `range.var.attr = literal` usable through
-  /// an existing index, or nullptr. `*attr` receives the attribute name.
-  const Expr* FindIndexableConjunct(const SelectQuery& query,
-                                    const FromRange& range,
-                                    std::string* attr) const;
+  /// The first of `plan`'s conjuncts `range.var.attr = literal` that an
+  /// index in the view serves, or nullptr (always without an
+  /// `IndexManager`: such an engine never uses an index).
+  const cache::PlanEntry::EqConjunct* IndexedConjunct(
+      const cache::PlanEntry& plan, const FromRange& range) const;
 
   Database* db_;
   IndexManager* indexes_;

@@ -242,7 +242,6 @@ Server::Server(Database* db, Options options)
                                             options.admission}),
       sessions_(this),
       store_(options.store),
-      indexes_(options.indexes),
       read_only_(options.read_only),
       writer_wait_warn_micros_(options.writer_wait_warn_micros),
       replication_probe_(std::move(options.replication_probe)),
@@ -608,10 +607,8 @@ void Server::RegisterSystemCatalog() {
             });
           }
           const pool::ExtentHeat::Counters c = heat_for(cls->name());
-          std::vector<std::string> indexed;
-          if (indexes_ != nullptr) {
-            indexed = indexes_->IndexedAttributes(cls->name());
-          }
+          const std::vector<std::string> indexed =
+              view.IndexedAttributes(cls->name());
           rows.push_back(Value::MakeStruct(
               {{"class", Value::String(cls->name())},
                {"rows", Value::Int(static_cast<std::int64_t>(extent.size()))},

@@ -59,9 +59,9 @@ class Server {
     int worker_threads = 4;
     /// Bounded queue depth; submissions beyond it are rejected.
     std::size_t queue_capacity = 256;
-    /// Optional index layer consulted by query execution. Must outlive the
-    /// server. Index maintenance happens via the database's event bus on
-    /// the mutating worker, i.e. under the write guard.
+    /// Optional index layer: with it, query execution uses the indexes of
+    /// the snapshot it reads. Index maintenance happens via the database's
+    /// event bus on the mutating worker, i.e. under the write guard.
     IndexManager* indexes = nullptr;
     /// Queries slower than this are recorded in the slow-query log with
     /// their plan (or full trace when profiled). Negative = disabled (the
@@ -264,7 +264,6 @@ class Server {
   ThreadPoolExecutor executor_;
   SessionManager sessions_;
   storage::DurableStore* store_;
-  IndexManager* indexes_;
   const bool read_only_;
   const double writer_wait_warn_micros_;
   const std::function<std::string()> replication_probe_;

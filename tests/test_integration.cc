@@ -60,8 +60,8 @@ TEST_F(FullStackFixture, RevisionScenarioKeepsEveryLayerConsistent) {
   // ICBN rules are live: a lowercase genus is vetoed everywhere at once.
   EXPECT_FALSE(tdb.PublishName("broken", Rank::kGenus, "X.", 1800).ok());
   // The veto left no trace in index or view.
-  EXPECT_TRUE(indexes
-                  ->Lookup(taxonomy::kNameClass, "name_element",
+  EXPECT_TRUE(tdb.db()
+                  .Lookup(taxonomy::kNameClass, "name_element",
                            Value::String("broken"))
                   .value()
                   .empty());
@@ -83,8 +83,8 @@ TEST_F(FullStackFixture, RevisionScenarioKeepsEveryLayerConsistent) {
   // ...and fully retracted afterwards, in the view AND the index.
   EXPECT_EQ(views->Evaluate("genera_names").value(),
             std::vector<Oid>{apium});
-  EXPECT_TRUE(indexes
-                  ->Lookup(taxonomy::kNameClass, "name_element",
+  EXPECT_TRUE(tdb.db()
+                  .Lookup(taxonomy::kNameClass, "name_element",
                            Value::String("Draftia"))
                   .value()
                   .empty());

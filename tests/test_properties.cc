@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "core/database.h"
+#include "index/index_manager.h"
 #include "storage/journal.h"
 #include "storage/snapshot.h"
 
@@ -443,10 +444,19 @@ TEST_P(FuzzSeeds, LiveAndSnapshotTraversalsAgree) {
 
 // ------------------------------------------------------ frozen snapshots
 
+/// Tags the random scripts write (`RandomOp` case 2), plus unset (null).
+std::vector<Value> SampleTags() {
+  std::vector<Value> tags{Value::Null()};
+  for (int t = 0; t < 10; ++t) {
+    tags.push_back(Value::String("t" + std::to_string(t)));
+  }
+  return tags;
+}
+
 /// Everything a reader can observe of `view`, as text: every record
 /// (class, attributes, adjacency, extent and context positions), every
 /// extent and link extent in order, every object's context bucket and the
-/// synonym partition.
+/// synonym partition, and the indexes the frozen-snapshot test installs.
 std::string Fingerprint(const ReadView& view) {
   std::ostringstream out;
   auto oids = [&out](const char* tag, const std::vector<Oid>& v) {
@@ -497,17 +507,93 @@ std::string Fingerprint(const ReadView& view) {
       out << '\n';
     }
   }
+  // The indexes the frozen-snapshot test installs (absent elsewhere).
+  for (const Value& tag : SampleTags()) {
+    if (auto hit = view.Lookup("Node", "tag", tag); hit.ok()) {
+      oids("index Node.tag", hit.value());
+    }
+  }
+  for (const char* cls : {"Leaf", "Node"}) {
+    const char* attr = cls[0] == 'L' ? "tag" : "n";
+    if (auto all = view.RangeLookup(cls, attr, Value::Null(), Value::Null());
+        all.ok()) {
+      oids("index ordered", all.value());
+    }
+  }
   return out.str();
+}
+
+/// The index oracle for the indexes `PinnedSnapshotsStayFrozen...` installs
+/// (hash on Node.tag, ordered on Leaf.tag and Node.n): on `view`, every
+/// sampled key's lookup, and every sampled range, equals the multiset from
+/// filtering the view's extent.
+void ExpectIndexesMatchExtents(const ReadView& view) {
+  auto sorted = [](std::vector<Oid> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  auto filtered = [&](const char* cls, const char* attr, auto keep) {
+    std::vector<Oid> out;
+    for (Oid oid : view.Extent(cls)) {
+      if (keep(view.GetAttribute(oid, attr).value())) out.push_back(oid);
+    }
+    return sorted(out);
+  };
+  for (const Value& tag : SampleTags()) {
+    for (const char* cls : {"Node", "Leaf"}) {
+      EXPECT_EQ(sorted(view.Lookup(cls, "tag", tag).value()),
+                filtered(cls, "tag", [&tag](const Value& v) {
+                  return v.IndexKey() == tag.IndexKey();
+                }))
+          << cls << ".tag = " << tag.ToString();
+    }
+  }
+  // Ordered ranges; a null tag orders as the empty string.
+  auto tag_in = [](const char* lo, const char* hi) {
+    return [lo, hi](const Value& v) {
+      const std::string s = v.is_null() ? "" : v.AsString();
+      return (lo == nullptr || s >= lo) && s <= hi;
+    };
+  };
+  EXPECT_EQ(sorted(view.RangeLookup("Leaf", "tag", Value::String("t2"),
+                                    Value::String("t6"))
+                       .value()),
+            filtered("Leaf", "tag", tag_in("t2", "t6")));
+  EXPECT_EQ(sorted(view.RangeLookup("Leaf", "tag", Value::Null(),
+                                    Value::String("t4"))
+                       .value()),
+            filtered("Leaf", "tag", tag_in(nullptr, "t4")));
+  EXPECT_EQ(
+      sorted(view.RangeLookup("Leaf", "tag", Value::Null(), Value::Null())
+                 .value()),
+      sorted(view.Extent("Leaf")));
+  for (std::int64_t n : {0, 5, 42, 99}) {
+    EXPECT_EQ(sorted(view.Lookup("Node", "n", Value::Int(n)).value()),
+              filtered("Node", "n", [n](const Value& v) {
+                return v.type() == ValueType::kInt && v.AsInt() == n;
+              }))
+        << "Node.n = " << n;
+  }
+  EXPECT_EQ(sorted(view.RangeLookup("Node", "n", Value::Int(10),
+                                    Value::Int(60))
+                       .value()),
+            filtered("Node", "n", [](const Value& v) {
+              return v.type() == ValueType::kInt && v.AsInt() >= 10 &&
+                     v.AsInt() <= 60;
+            }));
 }
 
 /// Random scripts of write sections, aborted transactions, DDL and Clear,
 /// with snapshots pinned at random points: a pinned snapshot must read
 /// exactly as it did when pinned, both at the end and, from a second
 /// thread, while the writer runs; and two pins at one epoch must read the
-/// same cut (the result cache keys on that epoch).
+/// same cut (the result cache keys on that epoch). The cut's indexes are
+/// part of what is frozen, and at every pin they must equal the pinned
+/// extents (`ExpectIndexesMatchExtents`).
 TEST_P(FuzzSeeds, PinnedSnapshotsStayFrozenUnderRandomScripts) {
   std::mt19937 rng(GetParam() + 9000);
   Database db;
+  IndexManager indexes(&db);
   std::vector<Oid> pool;
   std::vector<Oid> contexts;
   auto define = [&] {
@@ -520,6 +606,10 @@ TEST_P(FuzzSeeds, PinnedSnapshotsStayFrozenUnderRandomScripts) {
     undirected.directed = false;
     ASSERT_TRUE(
         db.DefineRelationship("peer", "Node", "Node", undirected).ok());
+    // Clear drops the indexes with the schema; they are rebuilt with it.
+    ASSERT_TRUE(indexes.CreateIndex("Node", "tag").ok());
+    ASSERT_TRUE(indexes.CreateIndex("Leaf", "tag", /*ordered=*/true).ok());
+    ASSERT_TRUE(indexes.CreateIndex("Node", "n", /*ordered=*/true).ok());
     pool.clear();
     contexts = {db.CreateObject("Ctx").value(), db.CreateObject("Ctx").value()};
   };
@@ -562,6 +652,7 @@ TEST_P(FuzzSeeds, PinnedSnapshotsStayFrozenUnderRandomScripts) {
   std::map<std::uint64_t, std::string> cut_at_epoch;  // every pin, ever
   auto pin = [&] {
     SnapshotHandle snap = db.AcquireSnapshot();
+    ExpectIndexesMatchExtents(*snap);
     std::string fingerprint = Fingerprint(*snap);
     EXPECT_EQ(fingerprint, Fingerprint(db)) << "pinned cut differs from live";
     const auto first = cut_at_epoch.emplace(snap->epoch(), fingerprint).first;
